@@ -13,7 +13,6 @@ config      strict key-value experiment configuration
 cli         command-line interface and reproducible pipelines
 """
 
-from .accel import NUMBA_ENABLED
 from .calibrate import CalibrationResult, calibrate_kappa_eff, heated_temperature
 from .config import ConfigError, ExperimentConfig, load_config
 from .constants import AJ_PER_GHZ, H_MEV_PER_GHZ, H_OVER_KB, KB_MEV_PER_K

@@ -6,10 +6,18 @@ The master equation (frequencies in GHz, hence the explicit 2*pi)
               + sum_m gamma_down(m) D[|m><m+1|] rho
               + sum_m gamma_up(m)   D[|m+1><m|] rho
 
-is integrated with a deterministic fixed-step RK4 scheme acting on the
-vectorized generator, with the rates held piecewise constant over each
-half-period of the bias pulse.  Dissipators act directly on the transmon
-ladder; the resonators enter through the rate model only.
+has a diagonal H and pure ladder jumps, so it never mixes populations
+with coherences.  The populations obey the d x d Pauli rate equation
+dp/dt = Q p, and each coherence decays on its own,
+
+    rho_mn(t) = rho_mn(0) exp[(-2*pi*i (E_m - E_n) - (G_m + G_n)/2) t],
+
+with G_m the total rate out of level m.  The rates are constant over
+each half-period of the bias pulse, so every such stretch is solved
+exactly: expm(Q t) on the populations and the scalar exponentials on
+the coherences.  The time step only sets the sampling grid.
+Dissipators act directly on the transmon ladder; the resonators enter
+through the rate model only.
 """
 
 from __future__ import annotations
@@ -19,10 +27,10 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg import expm
 
 from . import thermometry
 from .constants import H_OVER_KB
-from .kernels import rk4_propagate
 from .qcr import CouplingSpec, JunctionSpec, RateTable, transition_rates
 from .system import SystemSpec, TransmonSpec, transmon_energies
 
@@ -34,7 +42,7 @@ ABORT_NEG_EIG = -1e-6
 
 
 class IntegratorError(RuntimeError):
-    """Trace or positivity blew past its bound during integration."""
+    """The propagated state is non-finite or lost trace or positivity."""
 
 
 class DensityMatrix:
@@ -128,7 +136,6 @@ class BiasPulse:
     amplitude: float = 1.2
     duration: float = 100.0
     period: float = 10.0
-    rise_time: float = 0.0
 
     def __post_init__(self):
         if self.duration < 0:
@@ -137,12 +144,6 @@ class BiasPulse:
             raise ValueError(f"period must be positive, got {self.period}")
         if self.amplitude < 0:
             raise ValueError(f"amplitude must be non-negative, got {self.amplitude}")
-        if self.rise_time < 0:
-            raise ValueError(f"rise_time must be non-negative, got {self.rise_time}")
-        if self.rise_time > 0:
-            raise NotImplementedError(
-                "only ideal square edges (rise_time=0) exist"
-            )
         if self.amplitude > 0 and self.duration > 0:
             cycles = self.duration / self.period
             if abs(cycles - round(cycles)) > 1e-9:
@@ -155,8 +156,7 @@ class BiasPulse:
 def pulse_voltage(pulse: BiasPulse, t):
     """Instantaneous bias (mV) of the square pulse at time t (ns).
 
-    Vectorized over t.  Only ideal square edges exist; BiasPulse rejects
-    rise_time > 0 at construction.
+    Vectorized over t.  Edges are ideal steps.
     """
     t = np.asarray(t, dtype=float)
     phase = np.mod(t, pulse.period)
@@ -200,6 +200,37 @@ def lindblad_generator(hamiltonian: np.ndarray, rates: RateTable) -> np.ndarray:
                 - 0.5 * (np.kron(opdag_op, eye) + np.kron(eye, opdag_op.T))
             )
     return gen
+
+
+def split_generator(generator: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Split a ladder generator into its Pauli block and coherence rates.
+
+    ``generator`` is (d^2, d^2) in the vec convention of
+    ``lindblad_generator``.  Returns the real d x d rate matrix Q acting
+    on the populations (vec indices m*(d+1)) and the d x d array lam of
+    coherence eigenvalues, d rho_mn/dt = lam[m, n] rho_mn, with zeros on
+    its diagonal.  Raises ValueError if any other entry is nonzero,
+    which a non-diagonal Hamiltonian or a non-ladder jump produces.
+    """
+    gen = np.asarray(generator)
+    d = math.isqrt(gen.shape[0])
+    if gen.shape != (d * d, d * d):
+        raise ValueError(f"generator must be (d^2, d^2), got {gen.shape}")
+    pop = np.ix_(np.arange(d) * (d + 1), np.arange(d) * (d + 1))
+    q = gen[pop]
+    lam = gen.diagonal().reshape(d, d).copy()
+    np.fill_diagonal(lam, 0.0)
+    rest = gen.copy()
+    rest[pop] = 0.0
+    np.fill_diagonal(rest, 0.0)
+    if np.any(rest):
+        raise ValueError(
+            "generator couples populations and coherences: exact propagation "
+            "needs a diagonal Hamiltonian and pure ladder jumps"
+        )
+    if np.any(np.imag(q)):
+        raise ValueError("population block of the generator is not real")
+    return np.real(q).copy(), lam
 
 
 @dataclass
@@ -267,44 +298,84 @@ def propagate(
     transmon: TransmonSpec | None = None,
     pulse: BiasPulse | None = None,
 ) -> Trajectory:
-    """RK4 propagation under piecewise-constant generators.
+    """Exact propagation under piecewise-constant ladder generators.
 
-    Low-level entry point shared by ``evolve`` and the engine-cycle code;
-    monitors trace drift and positivity at every sample and aborts with
-    an IntegratorError diagnostic when either passes 1e-6.
+    Low-level entry point shared by ``evolve`` and the engine-cycle code.
+    ``generators`` stacks (d^2, d^2) generators of ladder form (see
+    ``split_generator``); step i of length ``dt`` runs under
+    ``generators[seg_ids[i]]`` and every ``sample_every``-th step is
+    recorded, after the initial state in row 0.  The step grid is cut
+    into pieces at segment changes and samples; each piece is solved
+    exactly, so ``dt`` sets the sampling grid only.  ``hamiltonian`` is
+    not read: the generators already carry it.
+
+    Every sample is checked; a non-finite state, a trace drift or a
+    negative eigenvalue beyond 1e-6 aborts with an IntegratorError
+    naming the time and step.  A non-finite generator raises
+    IntegratorError too; one that couples populations and coherences
+    raises ValueError.
     """
     d = rho0.dim
-    samples, y_end = rk4_propagate(
-        generators, seg_ids, rho0.matrix.reshape(-1), dt, sample_every
-    )
-    n_samples = samples.shape[0]
-    times = np.arange(n_samples) * (dt * sample_every)
+    gens = np.asarray(generators)
+    seg_ids = np.asarray(seg_ids, dtype=np.int64)
+    n_steps = seg_ids.shape[0]
+    if gens.ndim != 3 or gens.shape[1:] != (d * d, d * d):
+        raise ValueError(f"generators must be (k, {d * d}, {d * d}), got {gens.shape}")
+    if n_steps and (seg_ids.min() < 0 or seg_ids.max() >= gens.shape[0]):
+        raise ValueError("segment index out of range")
+    if sample_every < 1 or n_steps % sample_every:
+        raise ValueError("sample_every must divide the number of steps")
+    if not np.isfinite(gens).all():
+        raise IntegratorError("non-finite generator entries")
+    blocks = [split_generator(g) for g in gens]
 
-    rhos = samples.reshape(n_samples, d, d)
+    cuts = np.union1d(
+        np.flatnonzero(np.diff(seg_ids)) + 1,
+        np.arange(0, n_steps + 1, sample_every),
+    ).tolist()
+    rhos = np.empty((n_steps // sample_every + 1, d, d), dtype=complex)
+    rhos[0] = rho0.matrix
+    rho = rhos[0]
+    propagators = {}
+    k = 1
+    for start, stop in zip(cuts[:-1], cuts[1:]):
+        key = (int(seg_ids[start]), stop - start)
+        if key not in propagators:
+            q, lam = blocks[key[0]]
+            tau = key[1] * dt
+            propagators[key] = (expm(q * tau), np.exp(lam * tau))
+        pauli, decay = propagators[key]
+        populations = pauli @ rho.diagonal()
+        rho = rho * decay
+        np.fill_diagonal(rho, populations)
+        if stop % sample_every == 0:
+            rhos[k] = rho
+            k += 1
+
+    times = np.arange(rhos.shape[0]) * (dt * sample_every)
+
+    def at(i):
+        return f"at t={times[i]:.3f} ns (step {i * sample_every}, dt={dt})"
+
+    finite = np.isfinite(rhos).all(axis=(1, 2))
+    if not finite.all():
+        raise IntegratorError(f"non-finite state {at(int(np.argmin(finite)))}")
     traces = np.einsum("tii->t", rhos).real
     drift = np.abs(traces - 1.0)
     if drift.max() > ABORT_TRACE_DRIFT:
         k = int(np.argmax(drift > ABORT_TRACE_DRIFT))
-        raise IntegratorError(
-            f"trace drift {drift[k]:.3e} at t={times[k]:.3f} ns "
-            f"(step {k * sample_every}, dt={dt})"
-        )
+        raise IntegratorError(f"trace drift {drift[k]:.3e} {at(k)}")
     herm = 0.5 * (rhos + np.conj(np.swapaxes(rhos, 1, 2)))
     min_eigs = np.linalg.eigvalsh(herm)[:, 0]
     if min_eigs.min() < ABORT_NEG_EIG:
         k = int(np.argmin(min_eigs))
-        raise IntegratorError(
-            f"negative eigenvalue {min_eigs[k]:.3e} at t={times[k]:.3f} ns "
-            f"(step {k * sample_every}, dt={dt})"
-        )
+        raise IntegratorError(f"negative eigenvalue {min_eigs[k]:.3e} {at(k)}")
 
-    populations = rhos.diagonal(axis1=1, axis2=2).real.copy()
-    final = DensityMatrix(y_end.reshape(d, d), validate=False)
     trans = transmon if transmon is not None else TransmonSpec(n_levels=d)
     return Trajectory(
         times=times,
-        populations=populations,
-        final=final,
+        populations=rhos.diagonal(axis1=1, axis2=2).real.copy(),
+        final=DensityMatrix(rho, validate=False),
         transmon=trans,
         pulse=pulse,
         states=rhos if keep_states else None,
@@ -321,7 +392,7 @@ def evolve(
     t_end: float | None = None,
     sample_every: int = 1,
 ) -> Trajectory:
-    """Integrate the pulsed master equation from ``rho0``.
+    """Propagate the pulsed master equation exactly from ``rho0``.
 
     The bare ladder Hamiltonian supplies the coherent part; rates are
     rebuilt once per distinct |V| taken by the pulse (the tunneling rates
@@ -333,15 +404,14 @@ def evolve(
     rho0 : DensityMatrix
         Initial ladder state, dimension transmon.n_levels.
     dt : float
-        RK4 step in ns; must divide the half period, the pulse duration
-        and t_end.
+        Sampling step in ns; must divide the half period, the pulse
+        duration and t_end.  Each constant-bias stretch is solved
+        exactly, so dt sets the sampling grid only.
     t_end : float
         Total integration time in ns (default: pulse duration).
     sample_every : int
         Record every k-th step into the trajectory.
     """
-    if pulse.rise_time != 0.0:
-        raise NotImplementedError("evolve requires ideal square edges (rise_time=0)")
     transmon = system.transmon
     if rho0.dim != transmon.n_levels:
         raise ValueError(

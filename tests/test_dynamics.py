@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.linalg import expm
 
 from qcrsim.dynamics import (
     BiasPulse,
@@ -13,7 +16,9 @@ from qcrsim.dynamics import (
     evolve_constant,
     fidelity,
     lindblad_generator,
+    propagate,
     pulse_voltage,
+    split_generator,
     steady_state,
     steady_state_from_rates,
     trace_distance,
@@ -34,6 +39,19 @@ def two_level_table(gamma_down, gamma_up):
         gamma_down=np.array([gamma_down]),
         gamma_up=np.array([gamma_up]),
     )
+
+
+def ladder_generator(gamma_down, gamma_up):
+    """Generator of the bare ladder with d = len(gamma_down) + 1 levels."""
+    d = len(gamma_down) + 1
+    table = RateTable(
+        v=0.0,
+        omegas=np.ones(d - 1),
+        gamma_down=np.asarray(gamma_down, dtype=float),
+        gamma_up=np.asarray(gamma_up, dtype=float),
+    )
+    h = np.diag(transmon_energies(TransmonSpec(n_levels=d)))
+    return lindblad_generator(h, table)
 
 
 class TestDensityMatrix:
@@ -118,10 +136,6 @@ class TestBiasPulse:
 
     def test_constant_bias_any_duration(self):
         BiasPulse(dc_offset=1.2, amplitude=0.0, duration=33.3)
-
-    def test_finite_rise_time_not_implemented(self):
-        with pytest.raises(NotImplementedError):
-            BiasPulse(amplitude=1.2, duration=100.0, rise_time=5.0)
 
 
 class TestLindbladGenerator:
@@ -248,18 +262,6 @@ class TestEvolve:
         )
         assert math.isnan(traj.temperatures[0])
 
-    def test_unstable_step_aborts_with_diagnostics(self):
-        h = np.diag(transmon_energies(TWO_LEVEL))
-        with pytest.raises(IntegratorError, match="trace drift"):
-            evolve_constant(
-                DensityMatrix.level(1, TWO_LEVEL),
-                h,
-                two_level_table(80.0, 0.0),
-                dt=1.0,
-                t_end=30.0,
-                transmon=TWO_LEVEL,
-            )
-
     def test_dt_must_divide_half_period(
         self, system, junction, coupling
     ):
@@ -267,6 +269,163 @@ class TestEvolve:
         pulse = BiasPulse(amplitude=1.2, duration=100.0, period=10.0)
         with pytest.raises(ValueError):
             evolve(rho0, system, junction, coupling, pulse, dt=0.4)
+
+
+class TestPropagate:
+    H2 = np.diag(transmon_energies(TWO_LEVEL))
+
+    def test_sample_layout(self):
+        # row 0 is the initial state, then one row per sample_every steps
+        rho0 = DensityMatrix([[0.3, 0.2 - 0.1j], [0.2 + 0.1j, 0.7]])
+        gen = ladder_generator([0.031], [0.013])
+        traj = propagate(
+            rho0,
+            self.H2,
+            gen[np.newaxis],
+            np.zeros(400, dtype=np.int64),
+            dt=0.05,
+            sample_every=40,
+            keep_states=True,
+        )
+        assert traj.states.shape == (11, 2, 2)
+        assert_allclose(traj.times, 2.0 * np.arange(11))
+        assert np.array_equal(traj.states[0], rho0.matrix)
+        assert np.array_equal(traj.states[-1], traj.final.matrix)
+
+    def test_segment_switching_changes_generator(self):
+        gens = np.stack(
+            [ladder_generator([0.1], [0.0]), ladder_generator([0.5], [0.0])]
+        )
+        seg = np.array([0] * 50 + [1] * 50, dtype=np.int64)
+        traj = propagate(
+            DensityMatrix.level(1, TWO_LEVEL), self.H2, gens, seg, 0.1, 100
+        )
+        expected = np.exp(-0.1 * 5.0) * np.exp(-0.5 * 5.0)
+        assert traj.populations[-1, 1] == pytest.approx(expected, rel=1e-12)
+
+    def test_matches_dense_generator_exponential(self):
+        """Coherent 4-level state against expm of the full generator."""
+        rng = np.random.default_rng(11)
+        m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        rho0 = m @ m.conj().T
+        rho0 /= np.trace(rho0).real
+        gens = np.stack(
+            [ladder_generator(*rng.uniform(0.01, 0.3, (2, 3))) for _ in range(2)]
+        )
+        seg = np.array([0] * 30 + [1] * 50 + [0] * 20, dtype=np.int64)
+        dt = 0.25
+        h = np.diag(transmon_energies(TransmonSpec(n_levels=4)))
+        traj = propagate(DensityMatrix(rho0), h, gens, seg, dt, 10, keep_states=True)
+        steps = [expm(g * dt) for g in gens]
+        y = rho0.reshape(-1)
+        expected = [y]
+        for i, k in enumerate(seg):
+            y = steps[k] @ y
+            if (i + 1) % 10 == 0:
+                expected.append(y)
+        assert_allclose(traj.states.reshape(len(expected), -1), expected, atol=1e-12)
+
+    def test_coherence_decays_at_closed_form_rate(self, system, junction, coupling):
+        """At dt = 0.1 rho_01 turns by 2.6 rad per step; the sampling step
+        must not touch its decay."""
+        d = system.transmon.n_levels
+        m = np.zeros((d, d), dtype=complex)
+        m[:2, :2] = 0.5
+        pulse = BiasPulse(amplitude=1.2, duration=100.0)
+        traj = evolve(DensityMatrix(m), system, junction, coupling, pulse, dt=0.1)
+        table = transition_rates(system, junction, coupling, 1.2)
+        gamma_0 = table.gamma_up[0]
+        gamma_1 = table.gamma_down[0] + table.gamma_up[1]
+        expected = 0.5 * math.exp(-(gamma_0 + gamma_1) * 100.0 / 2)
+        assert abs(traj.final.matrix[0, 1]) == pytest.approx(expected, rel=1e-12)
+
+    def test_widest_coherence_stays_physical(self, system, junction, coupling):
+        d = system.transmon.n_levels
+        m = np.zeros((d, d), dtype=complex)
+        m[np.ix_([0, d - 1], [0, d - 1])] = 0.5
+        pulse = BiasPulse(amplitude=1.2, duration=100.0)
+        traj = evolve(DensityMatrix(m), system, junction, coupling, pulse, dt=0.1)
+        final = traj.final.matrix
+        assert np.isfinite(final).all()
+        assert abs(np.trace(final) - 1.0) < 1e-12
+        assert np.linalg.eigvalsh(final).min() > -1e-12
+
+    def test_trace_drift_aborts(self):
+        gen = np.zeros((1, 4, 4))
+        gen[0, 3, 3] = -0.05  # level 1 decays into nothing
+        with pytest.raises(IntegratorError, match="trace drift"):
+            propagate(
+                DensityMatrix.level(1, TWO_LEVEL),
+                self.H2,
+                gen,
+                np.zeros(100, dtype=np.int64),
+                dt=0.1,
+            )
+
+    def test_negative_rate_aborts(self):
+        with pytest.raises(IntegratorError, match="negative eigenvalue"):
+            evolve_constant(
+                DensityMatrix.level(0, TWO_LEVEL),
+                self.H2,
+                two_level_table(0.03, -0.5),
+                dt=0.1,
+                t_end=10.0,
+                transmon=TWO_LEVEL,
+            )
+
+    @pytest.mark.parametrize("gamma_up", [math.nan, -1e4])
+    def test_non_finite_aborts(self, gamma_up):
+        """A NaN rate, or one whose propagator overflows, ends in an
+        IntegratorError rather than a LinAlgError from the guard."""
+        with np.errstate(all="ignore"), pytest.raises(
+            IntegratorError, match="non-finite"
+        ):
+            evolve_constant(
+                DensityMatrix.level(0, TWO_LEVEL),
+                self.H2,
+                two_level_table(0.03, gamma_up),
+                dt=0.1,
+                t_end=10.0,
+                transmon=TWO_LEVEL,
+            )
+
+    def test_coherent_drive_rejected(self):
+        h = np.array([[0.0, 0.1], [0.1, 4.09]])
+        gen = lindblad_generator(h, two_level_table(0.03, 0.01))
+        with pytest.raises(ValueError, match="couples populations and coherences"):
+            split_generator(gen)
+
+
+@st.composite
+def ladder_rates(draw):
+    n = draw(st.integers(min_value=1, max_value=5))
+    rate = st.floats(min_value=0.05, max_value=1.0)
+    gamma_down = draw(st.lists(rate, min_size=n, max_size=n))
+    gamma_up = draw(st.lists(rate, min_size=n, max_size=n))
+    return np.array(gamma_down), np.array(gamma_up)
+
+
+class TestPauliBlock:
+    @settings(max_examples=50, deadline=None)
+    @given(ladder_rates())
+    def test_columns_sum_to_zero(self, rates):
+        q, _ = split_generator(ladder_generator(*rates))
+        assert np.abs(q.sum(axis=0)).max() < 1e-14
+
+    @settings(max_examples=50, deadline=None)
+    @given(ladder_rates())
+    def test_off_diagonals_non_negative(self, rates):
+        q, _ = split_generator(ladder_generator(*rates))
+        assert (q - np.diag(np.diag(q)) >= 0.0).all()
+
+    @settings(max_examples=50, deadline=None)
+    @given(ladder_rates())
+    def test_stationary_vector_obeys_detailed_balance(self, rates):
+        gamma_down, gamma_up = rates
+        q, _ = split_generator(ladder_generator(gamma_down, gamma_up))
+        p = np.linalg.svd(q)[2][-1]
+        p /= p.sum()
+        assert_allclose(p[1:] / p[:-1], gamma_up / gamma_down, rtol=1e-9)
 
 
 class TestSteadyState:
