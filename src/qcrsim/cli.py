@@ -9,9 +9,17 @@ produces byte-identical CSV files.
 
 Subcommands: ``rates``, ``evolve``, ``shots``, ``fit``, ``thermo``,
 ``otto`` and ``pipeline <preset|file>`` with presets ``fig3d``,
-``fig4a``, ``fig4b`` and ``otto-demo``.  Exit code 0 on success, 2 on
-config/usage errors, 1 on runtime failures (stage failures name the
-stage on stderr).
+``fig4a``, ``fig4b``, ``otto-demo`` and ``full``.  Exit code 0 on
+success, 2 on config/usage errors, 1 on runtime failures (stage
+failures name the stage on stderr).
+
+Defaults owned elsewhere are not repeated here.  ``--seed``, ``--outdir`` and the
+``evolve`` flags ``--amplitude``/``--duration`` default to the config
+(``run.*``, ``pulse.*``) and, when given, override it, so the echo
+records what ran.  The ``otto`` flags are the fields of ``OttoSpec``
+with its defaults.  The idle temperature of the presets is
+``calibrate.IDLE_TEMPERATURE`` and the heating slope of ``thermo`` is
+taken above the configured ``junction.delta``.
 """
 
 from __future__ import annotations
@@ -20,10 +28,13 @@ import argparse
 import csv
 import math
 import sys
+from contextlib import contextmanager
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
+from .calibrate import IDLE_TEMPERATURE
 from .config import ConfigError, ExperimentConfig, load_config, write_echo
 from .constants import AJ_PER_GHZ
 from .dynamics import BiasPulse, DensityMatrix, evolve
@@ -45,12 +56,6 @@ from .thermometry import (
 )
 
 __all__ = ["main", "PIPELINE_PRESETS"]
-
-#: Idle cryostat temperature used by the figure presets (K).
-IDLE_T = 0.110
-
-#: Gap voltage (mV) above which the heating slope is taken.
-V_GAP = 0.215
 
 
 class StageError(RuntimeError):
@@ -140,7 +145,7 @@ def stage_evolve(
     cfg: ExperimentConfig,
     outdir: Path,
     pulse: BiasPulse,
-    init: str = f"gibbs:{IDLE_T}",
+    init: str = f"gibbs:{IDLE_TEMPERATURE}",
     dt: float = 0.1,
     sample_every: int = 10,
     name: str = "evolve.csv",
@@ -268,8 +273,9 @@ def stage_thermo(
 
     The input CSV needs columns p0..p3 and may carry V_mV or t_ns;
     temperatures are reported in mK.  The summary block at the end of
-    the file holds the heating slope (V_mV input) or the saturation-fit
-    parameters (t_ns input).
+    the file holds the heating slope above the configured gap
+    ``junction.delta`` (V_mV input) or the saturation-fit parameters
+    (t_ns input).
     """
     transmon = cfg.as_system().transmon
     columns = read_csv_columns(populations_path)
@@ -302,11 +308,12 @@ def stage_thermo(
 
     comments = []
     if sweep_col == "V_mV":
+        v_gap = cfg.as_junction().delta
         v = np.array([float(x) for x in columns["V_mV"]])
         t = np.array(temps)
-        ok = np.isfinite(t) & (v > V_GAP)
+        ok = np.isfinite(t) & (v > v_gap)
         if ok.sum() >= 3:
-            slope = heating_slope(v[ok], t[ok], v_min=V_GAP)
+            slope = heating_slope(v[ok], t[ok], v_min=v_gap)
             comments.append(f"slope_K_per_mV = {_fmt(slope)}")
         else:
             comments.append("slope_K_per_mV = nan  # fewer than 3 points above the gap")
@@ -362,11 +369,13 @@ def stage_otto(
 # -------------------------------------------------------------- pipelines
 
 
-def _run_stage(stage: str, fn, /, *args, **kwargs):
+@contextmanager
+def _stage(name: str):
+    """Re-raise any failure inside the block as a StageError naming it."""
     try:
-        return fn(*args, **kwargs)
+        yield
     except Exception as exc:
-        raise StageError(f"stage '{stage}' failed: {exc}") from exc
+        raise StageError(f"stage '{name}' failed: {exc}") from exc
 
 
 def pipeline_fig3d(cfg: ExperimentConfig, outdir: Path, seed: int):
@@ -377,25 +386,22 @@ def pipeline_fig3d(cfg: ExperimentConfig, outdir: Path, seed: int):
     corrected population estimate + Gibbs fit on the thermal set.
     """
     transmon = cfg.as_system().transmon
-    p4 = normalize_leading(gibbs_populations(IDLE_T, transmon), 4)
-    _run_stage(
-        "shots",
-        stage_shots,
-        cfg,
-        outdir,
-        None,
-        2500,
-        seed,
-        calibration=True,
-        name="shots_calibration.csv",
-    )
-    shots_path = _run_stage(
-        "shots", stage_shots, cfg, outdir, p4, 10000, seed
-    )
-    _, pops_path, _ = _run_stage(
-        "fit", stage_fit, cfg, outdir, shots_path, seed
-    )
-    _run_stage("thermo", stage_thermo, cfg, outdir, pops_path)
+    p4 = normalize_leading(gibbs_populations(IDLE_TEMPERATURE, transmon), 4)
+    with _stage("shots"):
+        stage_shots(
+            cfg,
+            outdir,
+            None,
+            2500,
+            seed,
+            calibration=True,
+            name="shots_calibration.csv",
+        )
+        shots_path = stage_shots(cfg, outdir, p4, 10000, seed)
+    with _stage("fit"):
+        _, pops_path, _ = stage_fit(cfg, outdir, shots_path, seed)
+    with _stage("thermo"):
+        stage_thermo(cfg, outdir, pops_path)
 
 
 def pipeline_fig4a(cfg: ExperimentConfig, outdir: Path, seed: int):
@@ -406,38 +412,23 @@ def pipeline_fig4a(cfg: ExperimentConfig, outdir: Path, seed: int):
     coupling = cfg.as_coupling()
     model = cfg.as_readout_model()
     transmon = system.transmon
-    rho0 = DensityMatrix.gibbs(IDLE_T, transmon)
+    rho0 = DensityMatrix.gibbs(IDLE_TEMPERATURE, transmon)
 
     amplitudes = [round(0.1 * i, 1) for i in range(13)]  # 0 .. 1.2 mV
     rows = []
     for i, amp in enumerate(amplitudes):
         pulse = BiasPulse(dc_offset=0.0, amplitude=amp, duration=100.0)
-        traj = _run_stage(
-            "evolve",
-            evolve,
-            rho0,
-            system,
-            junction,
-            coupling,
-            pulse,
-            dt=0.1,
-        )
+        with _stage("evolve"):
+            traj = evolve(rho0, system, junction, coupling, pulse)
         p_true = normalize_leading(traj.final.populations(), 4)
-        shots = _run_stage(
-            "shots",
-            synthesize_shots,
-            p_true,
-            model,
-            20000,
-            _seed_for(seed, "fig4a-shots", i),
-        )
-        est = _run_stage(
-            "fit",
-            estimate_populations,
-            shots,
-            model,
-            seed=_seed_for(seed, "fig4a-correction"),
-        )
+        with _stage("shots"):
+            shots = synthesize_shots(
+                p_true, model, 20000, _seed_for(seed, "fig4a-shots", i)
+            )
+        with _stage("fit"):
+            est = estimate_populations(
+                shots, model, seed=_seed_for(seed, "fig4a-correction")
+            )
         order = [est.labels.index(lbl) for lbl in STATE_LABELS]
         rows.append((amp, *(est.populations[j] for j in order)))
 
@@ -446,7 +437,8 @@ def pipeline_fig4a(cfg: ExperimentConfig, outdir: Path, seed: int):
         ["V_mV", "p0", "p1", "p2", "p3"],
         rows,
     )
-    _run_stage("thermo", stage_thermo, cfg, outdir, pops_path)
+    with _stage("thermo"):
+        stage_thermo(cfg, outdir, pops_path)
 
 
 def pipeline_fig4b(cfg: ExperimentConfig, outdir: Path, seed: int):
@@ -456,17 +448,14 @@ def pipeline_fig4b(cfg: ExperimentConfig, outdir: Path, seed: int):
     for amp in (0.3, 0.6, 1.2):
         pulse = BiasPulse(dc_offset=0.0, amplitude=amp, duration=600.0)
         tag = f"{amp:.1f}".replace(".", "p")
-        path, traj = _run_stage(
-            "evolve",
-            stage_evolve,
-            cfg,
-            outdir,
-            pulse,
-            init=f"gibbs:{IDLE_T}",
-            dt=0.1,
-            sample_every=50,
-            name=f"evolve_{tag}mV.csv",
-        )
+        with _stage("evolve"):
+            path, traj = stage_evolve(
+                cfg,
+                outdir,
+                pulse,
+                sample_every=50,
+                name=f"evolve_{tag}mV.csv",
+            )
         temps = traj.temperatures
         ok = np.isfinite(temps)
         pops_path = write_csv(
@@ -478,44 +467,34 @@ def pipeline_fig4b(cfg: ExperimentConfig, outdir: Path, seed: int):
                 if ok[j]
             ],
         )
-        _run_stage(
-            "thermo",
-            stage_thermo,
-            cfg,
-            outdir,
-            pops_path,
-            name=f"thermo_{tag}mV.csv",
-        )
+        with _stage("thermo"):
+            stage_thermo(cfg, outdir, pops_path, name=f"thermo_{tag}mV.csv")
 
 
 def pipeline_otto_demo(cfg: ExperimentConfig, outdir: Path, seed: int):
     """Default Otto engine run: per-cycle ledger plus summary."""
     del seed
-    _run_stage("otto", stage_otto, cfg, outdir, OttoSpec())
+    with _stage("otto"):
+        stage_otto(cfg, outdir, OttoSpec())
 
 
 def pipeline_full(cfg: ExperimentConfig, outdir: Path, seed: int):
     """Chained default pipeline: rates -> evolve -> shots -> fit ->
     thermo, all at the configured pulse."""
     pulse = cfg.as_pulse()
-    _run_stage(
-        "rates",
-        stage_rates,
-        cfg,
-        outdir,
-        [0.0, 0.2, 0.4, 0.6, 0.8, 1.0, pulse.amplitude],
-    )
-    _, traj = _run_stage(
-        "evolve", stage_evolve, cfg, outdir, pulse, init=f"gibbs:{IDLE_T}"
-    )
+    with _stage("rates"):
+        stage_rates(
+            cfg, outdir, [0.0, 0.2, 0.4, 0.6, 0.8, 1.0, pulse.amplitude]
+        )
+    with _stage("evolve"):
+        _, traj = stage_evolve(cfg, outdir, pulse)
     p4 = normalize_leading(traj.final.populations(), 4)
-    shots_path = _run_stage(
-        "shots", stage_shots, cfg, outdir, p4, 10000, seed
-    )
-    _, pops_path, _ = _run_stage(
-        "fit", stage_fit, cfg, outdir, shots_path, seed
-    )
-    _run_stage("thermo", stage_thermo, cfg, outdir, pops_path)
+    with _stage("shots"):
+        shots_path = stage_shots(cfg, outdir, p4, 10000, seed)
+    with _stage("fit"):
+        _, pops_path, _ = stage_fit(cfg, outdir, shots_path, seed)
+    with _stage("thermo"):
+        stage_thermo(cfg, outdir, pops_path)
 
 
 PIPELINE_PRESETS = {
@@ -535,10 +514,11 @@ def _resolve(args) -> tuple[ExperimentConfig, Path, int]:
     (config, outdir, seed)."""
     cfg = load_config(getattr(args, "config", None))
     overrides = dict(cfg.values)
-    if getattr(args, "seed", None) is not None:
-        overrides["run.seed"] = int(args.seed)
-    if getattr(args, "outdir", None) is not None:
-        overrides["run.outdir"] = str(args.outdir)
+    # A flag named after a key's field overrides that key when given.
+    for key in ("run.seed", "run.outdir", "pulse.amplitude", "pulse.duration"):
+        value = getattr(args, key.split(".")[1], None)
+        if value is not None:
+            overrides[key] = value
     cfg = ExperimentConfig(overrides).validate()
     outdir = Path(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -555,13 +535,10 @@ def cmd_rates(args) -> int:
 
 def cmd_evolve(args) -> int:
     cfg, outdir, _ = _resolve(args)
-    pulse = cfg.as_pulse(
-        amplitude=args.amplitude, duration=args.duration
-    )
     path, _ = stage_evolve(
         cfg,
         outdir,
-        pulse,
+        cfg.as_pulse(),
         init=args.init,
         dt=args.dt,
         sample_every=args.sample_every,
@@ -615,15 +592,7 @@ def cmd_thermo(args) -> int:
 
 def cmd_otto(args) -> int:
     cfg, outdir, _ = _resolve(args)
-    spec = OttoSpec(
-        omega_max=args.omega_max,
-        omega_min=args.omega_min,
-        v_hot=args.v_hot,
-        v_cold=args.v_cold,
-        t_isochore=args.t_isochore,
-        t_adiabat=args.t_adiabat,
-        n_cycles=args.n_cycles,
-    )
+    spec = OttoSpec(**{f.name: getattr(args, f.name) for f in fields(OttoSpec)})
     path, result = stage_otto(cfg, outdir, spec)
     print(path)
     print(
@@ -691,12 +660,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_rates)
 
     p = sub.add_parser("evolve", help="integrate the pulsed master equation")
-    p.add_argument("--amplitude", type=float, default=1.2, metavar="mV")
-    p.add_argument("--duration", type=float, default=100.0, metavar="ns")
+    p.add_argument(
+        "--amplitude",
+        type=float,
+        metavar="mV",
+        help="pulse amplitude (default: config)",
+    )
+    p.add_argument(
+        "--duration",
+        type=float,
+        metavar="ns",
+        help="pulse duration (default: config)",
+    )
     p.add_argument("--dt", type=float, default=0.1, metavar="ns")
     p.add_argument(
         "--init",
-        default=f"gibbs:{IDLE_T}",
+        default=f"gibbs:{IDLE_TEMPERATURE}",
         metavar="gibbs:<T_K>|level:<n>",
         help="initial state",
     )
@@ -742,13 +721,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_thermo)
 
     p = sub.add_parser("otto", help="four-stroke engine run")
-    p.add_argument("--omega-max", type=float, default=4.09, metavar="GHz")
-    p.add_argument("--omega-min", type=float, default=3.0, metavar="GHz")
-    p.add_argument("--v-hot", type=float, default=1.2, metavar="mV")
-    p.add_argument("--v-cold", type=float, default=0.19, metavar="mV")
-    p.add_argument("--t-isochore", type=float, default=20000.0, metavar="ns")
-    p.add_argument("--t-adiabat", type=float, default=50.0, metavar="ns")
-    p.add_argument("--n-cycles", type=int, default=6, metavar="N")
+    units = {"omega": "GHz", "v": "mV", "t": "ns", "n": "N"}
+    for f in fields(OttoSpec):
+        p.add_argument(
+            "--" + f.name.replace("_", "-"),
+            type=type(f.default),
+            default=f.default,
+            metavar=units[f.name.split("_")[0]],
+        )
     _add_common(p)
     p.set_defaults(func=cmd_otto)
 

@@ -6,6 +6,14 @@ default; unknown keys are rejected naming the nearest valid key, so a
 typo can never silently fall back to a default.  An empty file is a
 valid all-defaults config.
 
+The keys are derived, not listed: each block's keys are the fields of
+the spec it builds (``transmon.*`` -> ``TransmonSpec``, ``reset.*`` and
+``readout.*`` -> the resonators of ``SystemSpec``, ``junction.*``,
+``coupling.*``, ``pulse.*`` -> ``JunctionSpec``, ``CouplingSpec``,
+``BiasPulse``; ``geometry.*`` -> the keywords of ``default_model``), and
+their defaults are the spec's own.  Only ``run.seed`` and
+``run.outdir`` belong to the config itself.
+
 ``echo_config`` serializes the fully resolved configuration (every
 key, defaults included, sorted) in the same format using exact-decimal
 float reprs, so load -> echo -> load round-trips bitwise.  Pipelines
@@ -15,11 +23,12 @@ write this echo next to their outputs as the reproducibility record.
 from __future__ import annotations
 
 import difflib
-from dataclasses import dataclass, field
+import inspect
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .dynamics import BiasPulse
-from .qcr import KAPPA_EFF_DEFAULT, CouplingSpec, JunctionSpec
+from .qcr import CouplingSpec, JunctionSpec
 from .readout import ReadoutModel, default_model
 from .system import ResonatorSpec, SystemSpec, TransmonSpec
 
@@ -45,33 +54,34 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected true or false, got {text!r}")
 
 
+def _field_values(spec) -> dict[str, object]:
+    return {f.name: getattr(spec, f.name) for f in fields(spec)}
+
+
+_SYSTEM = SystemSpec()
+
+#: block -> {field: default}, read off the spec each block builds.
+_BLOCKS: dict[str, dict[str, object]] = {
+    "transmon": _field_values(_SYSTEM.transmon),
+    "reset": _field_values(_SYSTEM.reset_resonator),
+    "readout": _field_values(_SYSTEM.readout_resonator),
+    "junction": _field_values(JunctionSpec()),
+    "coupling": _field_values(CouplingSpec()),
+    "pulse": _field_values(BiasPulse()),
+    "geometry": {
+        name: param.default
+        for name, param in inspect.signature(default_model).parameters.items()
+    },
+}
+
 #: key -> (type, default).  This is the complete config surface.
 REGISTRY: dict[str, tuple[type, object]] = {
-    "transmon.omega_ge": (float, 4.09),
-    "transmon.alpha": (float, -0.273),
-    "transmon.n_levels": (int, 6),
-    "reset.omega": (float, 4.67),
-    "reset.g": (float, 0.0596),
-    "reset.n_levels": (int, 4),
-    "readout.omega": (float, 7.44),
-    "readout.g": (float, 0.0704),
-    "readout.n_levels": (int, 4),
-    "junction.delta": (float, 0.215),
-    "junction.gamma_d": (float, 2.3e-3),
-    "junction.r_t": (float, 13.8),
-    "junction.t_n": (float, 0.1),
-    "coupling.kappa_eff": (float, KAPPA_EFF_DEFAULT),
-    "coupling.purcell_filter": (bool, True),
-    "pulse.dc_offset": (float, 0.0),
-    "pulse.amplitude": (float, 1.2),
-    "pulse.duration": (float, 100.0),
-    "pulse.period": (float, 10.0),
-    "geometry.separation": (float, 3.0),
-    "geometry.sigma": (float, 1.0),
-    "geometry.h_scale": (float, 2.0),
-    "run.seed": (int, 0),
-    "run.outdir": (str, "out"),
+    f"{block}.{name}": (type(default), default)
+    for block, defaults in _BLOCKS.items()
+    for name, default in defaults.items()
 }
+REGISTRY["run.seed"] = (int, 0)
+REGISTRY["run.outdir"] = (str, "out")
 
 
 def _coerce(key: str, text: str, line_no: int) -> object:
@@ -147,6 +157,10 @@ class ExperimentConfig:
     def outdir(self) -> str:
         return str(self.values["run.outdir"])
 
+    def _fields(self, block: str) -> dict[str, object]:
+        """The {field: value} keyword arguments of one block."""
+        return {name: self.values[f"{block}.{name}"] for name in _BLOCKS[block]}
+
     def _build(self, block: str, factory):
         try:
             return factory()
@@ -154,70 +168,32 @@ class ExperimentConfig:
             raise ConfigError(f"{block} block invalid: {exc}") from None
 
     def as_system(self) -> SystemSpec:
-        v = self.values
         return self._build(
             "system",
             lambda: SystemSpec(
-                transmon=TransmonSpec(
-                    omega_ge=v["transmon.omega_ge"],
-                    alpha=v["transmon.alpha"],
-                    n_levels=v["transmon.n_levels"],
-                ),
-                reset_resonator=ResonatorSpec(
-                    omega=v["reset.omega"],
-                    g=v["reset.g"],
-                    n_levels=v["reset.n_levels"],
-                ),
-                readout_resonator=ResonatorSpec(
-                    omega=v["readout.omega"],
-                    g=v["readout.g"],
-                    n_levels=v["readout.n_levels"],
-                ),
+                transmon=TransmonSpec(**self._fields("transmon")),
+                reset_resonator=ResonatorSpec(**self._fields("reset")),
+                readout_resonator=ResonatorSpec(**self._fields("readout")),
             ),
         )
 
     def as_junction(self) -> JunctionSpec:
-        v = self.values
         return self._build(
-            "junction",
-            lambda: JunctionSpec(
-                delta=v["junction.delta"],
-                gamma_d=v["junction.gamma_d"],
-                r_t=v["junction.r_t"],
-                t_n=v["junction.t_n"],
-            ),
+            "junction", lambda: JunctionSpec(**self._fields("junction"))
         )
 
     def as_coupling(self) -> CouplingSpec:
-        v = self.values
         return self._build(
-            "coupling",
-            lambda: CouplingSpec(
-                kappa_eff=v["coupling.kappa_eff"],
-                purcell_filter=v["coupling.purcell_filter"],
-            ),
+            "coupling", lambda: CouplingSpec(**self._fields("coupling"))
         )
 
     def as_pulse(self, **overrides) -> BiasPulse:
-        v = self.values
-        kwargs = {
-            "dc_offset": v["pulse.dc_offset"],
-            "amplitude": v["pulse.amplitude"],
-            "duration": v["pulse.duration"],
-            "period": v["pulse.period"],
-        }
-        kwargs.update(overrides)
+        kwargs = {**self._fields("pulse"), **overrides}
         return self._build("pulse", lambda: BiasPulse(**kwargs))
 
     def as_readout_model(self) -> ReadoutModel:
-        v = self.values
         return self._build(
-            "geometry",
-            lambda: default_model(
-                separation=v["geometry.separation"],
-                sigma=v["geometry.sigma"],
-                h_scale=v["geometry.h_scale"],
-            ),
+            "geometry", lambda: default_model(**self._fields("geometry"))
         )
 
     def validate(self) -> "ExperimentConfig":

@@ -245,7 +245,6 @@ class Trajectory:
     populations: np.ndarray
     final: DensityMatrix
     transmon: TransmonSpec
-    pulse: BiasPulse | None = None
     states: np.ndarray | None = field(default=None, repr=False)
 
     @cached_property
@@ -296,7 +295,6 @@ def propagate(
     sample_every: int = 1,
     keep_states: bool = False,
     transmon: TransmonSpec | None = None,
-    pulse: BiasPulse | None = None,
 ) -> Trajectory:
     """Exact propagation under piecewise-constant ladder generators.
 
@@ -377,7 +375,6 @@ def propagate(
         populations=rhos.diagonal(axis1=1, axis2=2).real.copy(),
         final=DensityMatrix(rho, validate=False),
         transmon=trans,
-        pulse=pulse,
         states=rhos if keep_states else None,
     )
 
@@ -437,7 +434,6 @@ def evolve(
         dt,
         sample_every=sample_every,
         transmon=transmon,
-        pulse=pulse,
     )
 
 

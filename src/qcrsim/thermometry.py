@@ -23,11 +23,7 @@ V_MIN_DEFAULT = 0.215  # mV; gap edge, default onset for the heating slope
 
 
 class SaturationFitError(RuntimeError):
-    """No saturation-fit start converged; carries the best-effort fit."""
-
-    def __init__(self, message, best=None):
-        super().__init__(message)
-        self.best = best
+    """No saturation-fit start converged."""
 
 
 def gibbs_populations(
@@ -201,7 +197,7 @@ def fit_saturation(times, temps) -> SaturationFit:
             best_cost = sol.cost
 
     if best is None:
-        raise SaturationFitError("no saturation-fit start converged", best=None)
+        raise SaturationFitError("no saturation-fit start converged")
 
     t0, a, tau = (float(v) for v in best.x)
     degenerate = abs(a) < 1e-6 * max(spread, 1e-3)

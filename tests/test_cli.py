@@ -1,10 +1,15 @@
+import os
 import subprocess
 import sys
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qcrsim.cli import main
+import qcrsim
+from qcrsim.cli import build_parser, main
+from qcrsim.otto import OttoSpec
 
 
 def read_rows(path):
@@ -78,6 +83,36 @@ class TestEvolve:
         )
         _, rows, _ = read_rows(tmp_path / "evolve.csv")
         assert rows[0, 4] == pytest.approx(1.0)
+
+    def test_config_pulse_applies_without_flags(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("pulse.amplitude = 0.6\npulse.duration = 50.0\n")
+        assert main(
+            ["evolve", "--config", str(cfg), "--outdir", str(tmp_path)]
+        ) == 0
+        _, rows, _ = read_rows(tmp_path / "evolve.csv")
+        assert rows.shape[0] == 51  # 500 steps, sampled every 10, plus t=0
+        assert rows[-1, 0] == pytest.approx(50.0)
+
+    def test_flags_override_config_and_echo(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("pulse.amplitude = 0.6\npulse.duration = 50.0\n")
+        assert main(
+            [
+                "evolve",
+                "--config",
+                str(cfg),
+                "--duration",
+                "20",
+                "--outdir",
+                str(tmp_path),
+            ]
+        ) == 0
+        _, rows, _ = read_rows(tmp_path / "evolve.csv")
+        assert rows.shape[0] == 21
+        echo = (tmp_path / "config_echo.txt").read_text()
+        assert "pulse.duration = 20.0" in echo
+        assert "pulse.amplitude = 0.6" in echo
 
     def test_bad_init_fails(self, tmp_path, capsys):
         assert main(
@@ -175,6 +210,40 @@ class TestFitAndThermo:
         ) == 1
         assert "nope.csv" in capsys.readouterr().err
 
+    def test_thermo_slope_above_configured_gap(self, tmp_path):
+        from qcrsim.system import TransmonSpec
+        from qcrsim.thermometry import gibbs_populations, normalize_leading
+
+        spec = TransmonSpec()
+        volts = [0.3, 0.4, 0.6, 0.7, 0.8, 0.9, 1.0, 1.1, 1.2]
+        # Off-trend points below the gap, a 0.5 K/mV line above it.
+        temps = [0.9, 0.8] + [0.1 + 0.5 * (v - 0.6) for v in volts[2:]]
+        lines = ["V_mV,p0,p1,p2,p3"]
+        for v, temp in zip(volts, temps):
+            p = normalize_leading(gibbs_populations(temp, spec), 4)
+            lines.append(",".join([repr(v)] + [repr(float(x)) for x in p]))
+        src = tmp_path / "sweep.csv"
+        src.write_text("\n".join(lines) + "\n")
+        cfg = tmp_path / "gap.cfg"
+        cfg.write_text("junction.delta = 0.5\n")
+
+        assert main(
+            [
+                "thermo",
+                "--populations",
+                str(src),
+                "--config",
+                str(cfg),
+                "--outdir",
+                str(tmp_path),
+            ]
+        ) == 0
+        _, _, comments = read_rows(tmp_path / "thermo.csv")
+        summary = dict(c.split(" = ") for c in comments)
+        assert float(summary["slope_K_per_mV"]) == pytest.approx(
+            0.5, abs=1e-6
+        )
+
     def test_thermo_saturation_summary(self, tmp_path):
         from qcrsim.system import TransmonSpec
         from qcrsim.thermometry import gibbs_populations, normalize_leading
@@ -212,6 +281,13 @@ class TestOtto:
         summary = dict(c.split(" = ") for c in comments)
         assert 0 < float(summary["eta_limit"]) < float(summary["eta_c"]) < 1
         assert summary["limit_cycle_reached"] == "true"
+
+    def test_flags_default_to_otto_spec(self):
+        args = build_parser().parse_args(["otto"])
+        spec = OttoSpec(
+            **{f.name: getattr(args, f.name) for f in fields(OttoSpec)}
+        )
+        assert spec == OttoSpec()
 
     def test_invalid_bias_fails(self, tmp_path, capsys):
         assert main(
@@ -279,6 +355,15 @@ class TestPipelines:
         echo = (tmp_path / "out" / "config_echo.txt").read_text()
         assert "pulse.amplitude = 0.6" in echo
 
+    def test_failing_stage_named_exit_1(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        # Valid pulse, but dt = 0.1 ns cannot divide the 0.15 ns half period.
+        cfg.write_text("pulse.period = 0.3\npulse.duration = 3.0\n")
+        assert main(
+            ["pipeline", str(cfg), "--outdir", str(tmp_path / "out")]
+        ) == 1
+        assert "stage 'evolve' failed" in capsys.readouterr().err
+
     def test_unknown_preset_exits_2(self, tmp_path, capsys):
         assert main(
             ["pipeline", "fig9z", "--outdir", str(tmp_path)]
@@ -295,6 +380,13 @@ class TestPipelines:
 
 
 def test_console_script_entry_point(tmp_path):
+    # The child imports the same qcrsim as this process, installed or not.
+    src = str(Path(qcrsim.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join(filter(None, [src, path])),
+    }
     proc = subprocess.run(
         [
             sys.executable,
@@ -308,6 +400,7 @@ def test_console_script_entry_point(tmp_path):
         ],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert (tmp_path / "rates.csv").exists()

@@ -9,6 +9,38 @@ from qcrsim.config import (
     parse_config,
     write_echo,
 )
+from qcrsim.dynamics import BiasPulse
+from qcrsim.qcr import CouplingSpec, JunctionSpec
+from qcrsim.system import SystemSpec
+
+#: The default echo, written out: the registry is derived from the spec
+#: dataclasses, so a new spec field must show up here as a new key.
+DEFAULT_ECHO = """\
+coupling.kappa_eff = 0.3437
+coupling.purcell_filter = true
+geometry.h_scale = 2.0
+geometry.separation = 3.0
+geometry.sigma = 1.0
+junction.delta = 0.215
+junction.gamma_d = 0.0023
+junction.r_t = 13.8
+junction.t_n = 0.1
+pulse.amplitude = 1.2
+pulse.dc_offset = 0.0
+pulse.duration = 100.0
+pulse.period = 10.0
+readout.g = 0.0704
+readout.n_levels = 4
+readout.omega = 7.44
+reset.g = 0.0596
+reset.n_levels = 4
+reset.omega = 4.67
+run.outdir = out
+run.seed = 0
+transmon.alpha = -0.273
+transmon.n_levels = 6
+transmon.omega_ge = 4.09
+"""
 
 
 class TestParse:
@@ -75,6 +107,13 @@ class TestExperimentConfig:
         assert cfg.as_pulse().amplitude == 1.2
         assert cfg.as_readout_model().n_components == 4
 
+    def test_default_blocks_are_the_spec_defaults(self):
+        cfg = ExperimentConfig()
+        assert cfg.as_system() == SystemSpec()
+        assert cfg.as_junction() == JunctionSpec()
+        assert cfg.as_coupling() == CouplingSpec()
+        assert cfg.as_pulse() == BiasPulse()
+
     def test_pulse_overrides(self):
         pulse = ExperimentConfig().as_pulse(amplitude=0.3, duration=200.0)
         assert pulse.amplitude == 0.3
@@ -92,6 +131,9 @@ class TestExperimentConfig:
 
 
 class TestEchoRoundTrip:
+    def test_default_echo_is_golden(self):
+        assert echo_config(ExperimentConfig()) == DEFAULT_ECHO
+
     def test_echo_lists_every_key(self):
         echo = echo_config(ExperimentConfig())
         for key in REGISTRY:
