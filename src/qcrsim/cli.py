@@ -311,12 +311,12 @@ def stage_thermo(
         v_gap = cfg.as_junction().delta
         v = np.array([float(x) for x in columns["V_mV"]])
         t = np.array(temps)
-        ok = np.isfinite(t) & (v > v_gap)
-        if ok.sum() >= 3:
-            slope = heating_slope(v[ok], t[ok], v_min=v_gap)
-            comments.append(f"slope_K_per_mV = {_fmt(slope)}")
-        else:
-            comments.append("slope_K_per_mV = nan  # fewer than 3 points above the gap")
+        ok = np.isfinite(t)
+        try:
+            slope = _fmt(heating_slope(v[ok], t[ok], v_min=v_gap))
+        except ValueError:
+            slope = "nan  # fewer than 3 points above the gap"
+        comments.append(f"slope_K_per_mV = {slope}")
     elif sweep_col == "t_ns":
         t_axis = np.array([float(x) for x in columns["t_ns"]])
         t_kelvin = np.array(temps)

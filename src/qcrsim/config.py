@@ -174,7 +174,7 @@ class ExperimentConfig:
                 transmon=TransmonSpec(**self._fields("transmon")),
                 reset_resonator=ResonatorSpec(**self._fields("reset")),
                 readout_resonator=ResonatorSpec(**self._fields("readout")),
-            ),
+            ).validate(),
         )
 
     def as_junction(self) -> JunctionSpec:

@@ -185,6 +185,10 @@ def lindblad_generator(hamiltonian: np.ndarray, rates: RateTable) -> np.ndarray:
         )
     eye = np.eye(d, dtype=complex)
     gen = -2j * np.pi * (np.kron(h, eye) - np.kron(eye, h.T))
+    # D[|i><j|] adds rate at vec (ii, jj) and -rate/2 on the diagonal
+    # for every vec index in row j or column j, so -rate at jj itself.
+    # diag[a, b] is a view of the diagonal entry at vec index (ab, ab).
+    diag = gen.reshape(-1)[:: d * d + 1].reshape(d, d)
     for m in range(d - 1):
         for rate, (i, j) in (
             (rates.gamma_down[m], (m, m + 1)),  # |m><m+1|
@@ -192,13 +196,11 @@ def lindblad_generator(hamiltonian: np.ndarray, rates: RateTable) -> np.ndarray:
         ):
             if rate == 0.0:
                 continue
-            op = np.zeros((d, d), dtype=complex)
-            op[i, j] = 1.0
-            opdag_op = op.conj().T @ op
-            gen += rate * (
-                np.kron(op, op.conj())
-                - 0.5 * (np.kron(opdag_op, eye) + np.kron(eye, opdag_op.T))
-            )
+            others = np.arange(d) != j
+            gen[i * (d + 1), j * (d + 1)] += rate
+            diag[j, others] -= 0.5 * rate
+            diag[others, j] -= 0.5 * rate
+            diag[j, j] -= rate
     return gen
 
 

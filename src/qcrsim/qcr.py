@@ -12,6 +12,7 @@ Energies in meV, voltages in mV (so e*V in meV equals V in mV), rates in
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -19,7 +20,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .constants import H_MEV_PER_GHZ, H_OVER_KB, KB_MEV_PER_K
-from .system import SystemSpec, transition_frequencies
+from .system import SystemSpec, TransmonSpec, transition_frequencies
 
 # Integration window for the tunneling integrals, in units of the gap.
 INTEGRATION_HALFWIDTH = 30.0
@@ -261,6 +262,27 @@ def purcell_factor(system: SystemSpec, omega: float) -> float:
     return g1**2 / detuning**2
 
 
+@functools.lru_cache(maxsize=1024)
+def _spectral_rows(
+    transmon: TransmonSpec, v: float, junction: JunctionSpec
+) -> tuple[np.ndarray, np.ndarray]:
+    """F(+h*omega_m, v) and F(-h*omega_m, v) over the ladder, read-only.
+
+    F depends on nothing but the frozen specs and |v|, while kappa_eff
+    and the Purcell weights scale it linearly, so every rate table at
+    the same bias shares these two rows.  Callers pass v = |v|.  The
+    cache is bounded so a process sweeping many biases stays small.
+    """
+    omegas = transition_frequencies(transmon)
+    rows = np.empty((2, omegas.size))
+    for i, omega in enumerate(omegas):
+        e_phot = H_MEV_PER_GHZ * omega
+        rows[0, i] = tunnel_spectral_fn(+e_phot, v, junction)
+        rows[1, i] = tunnel_spectral_fn(-e_phot, v, junction)
+    rows.flags.writeable = False
+    return rows[0], rows[1]
+
+
 def transition_rates(
     system: SystemSpec,
     junction: JunctionSpec,
@@ -274,7 +296,9 @@ def transition_rates(
 
     with omega_m = omega_ge + m*alpha the m <-> m+1 transition frequency,
     (m+1) the ladder matrix element squared, and P the Purcell filter
-    factor (1 when disabled).  Even in v by construction.
+    factor (1 when disabled).  Even in v by construction.  The F rows
+    are memoised per process (see ``_spectral_rows``), so only the first
+    table at a given (transmon, junction, |v|) evaluates integrals.
     """
     omegas = transition_frequencies(system.transmon)
     m = np.arange(omegas.size)
@@ -282,16 +306,11 @@ def transition_rates(
     if coupling.purcell_filter:
         weights *= np.array([purcell_factor(system, w) for w in omegas])
 
-    gdown = np.empty(omegas.size)
-    gup = np.empty(omegas.size)
-    for i, omega in enumerate(omegas):
-        e_phot = H_MEV_PER_GHZ * omega
-        gdown[i] = tunnel_spectral_fn(+e_phot, v, junction)
-        gup[i] = tunnel_spectral_fn(-e_phot, v, junction)
-    gdown *= coupling.kappa_eff * weights
-    gup *= coupling.kappa_eff * weights
-
-    return RateTable(v=abs(v), omegas=omegas, gamma_down=gdown, gamma_up=gup)
+    f_down, f_up = _spectral_rows(system.transmon, float(abs(v)), junction)
+    scale = coupling.kappa_eff * weights
+    return RateTable(
+        v=abs(v), omegas=omegas, gamma_down=f_down * scale, gamma_up=f_up * scale
+    )
 
 
 def effective_temperature(gamma_down: float, gamma_up: float, omega: float) -> float:

@@ -15,11 +15,12 @@ import numpy as np
 from scipy.optimize import least_squares, minimize_scalar
 
 from .constants import H_OVER_KB
+from .qcr import JunctionSpec
 from .system import TransmonSpec, transmon_energies
 
 T_BOUNDS = (1e-3, 5.0)  # K; search range of the Gibbs fit
 TAU_STARTS = (25.0, 50.0, 100.0, 200.0, 400.0)  # ns; saturation multistart
-V_MIN_DEFAULT = 0.215  # mV; gap edge, default onset for the heating slope
+V_MIN_DEFAULT = JunctionSpec().delta  # mV; gap edge, onset of the heating slope
 
 
 class SaturationFitError(RuntimeError):

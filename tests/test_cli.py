@@ -244,6 +244,24 @@ class TestFitAndThermo:
             0.5, abs=1e-6
         )
 
+    def test_thermo_slope_needs_three_points_above_gap(self, tmp_path):
+        from qcrsim.system import TransmonSpec
+        from qcrsim.thermometry import gibbs_populations, normalize_leading
+
+        lines = ["V_mV,p0,p1,p2,p3"]
+        for v in (0.1, 0.2, 0.6, 1.2):
+            p = normalize_leading(gibbs_populations(0.1 + v, TransmonSpec()), 4)
+            lines.append(",".join([repr(v)] + [repr(float(x)) for x in p]))
+        src = tmp_path / "sweep.csv"
+        src.write_text("\n".join(lines) + "\n")
+
+        assert main(
+            ["thermo", "--populations", str(src), "--outdir", str(tmp_path)]
+        ) == 0
+        _, _, comments = read_rows(tmp_path / "thermo.csv")
+        summary = dict(c.split(" = ") for c in comments)
+        assert summary["slope_K_per_mV"].startswith("nan  # fewer than 3")
+
     def test_thermo_saturation_summary(self, tmp_path):
         from qcrsim.system import TransmonSpec
         from qcrsim.thermometry import gibbs_populations, normalize_leading

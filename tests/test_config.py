@@ -124,6 +124,12 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match="system block"):
             cfg.validate()
 
+    def test_system_invariants_are_checked(self):
+        ExperimentConfig().validate()
+        cfg = ExperimentConfig({"reset.omega": 4.1})
+        with pytest.raises(ConfigError, match="system block invalid: reset_resonator"):
+            cfg.validate()
+
     def test_invalid_geometry_names_the_block(self):
         cfg = ExperimentConfig({"geometry.sigma": -1.0})
         with pytest.raises(ConfigError, match="geometry block"):

@@ -54,6 +54,50 @@ def ladder_generator(gamma_down, gamma_up):
     return lindblad_generator(h, table)
 
 
+def kron_generator(hamiltonian, rates):
+    """Reference build of lindblad_generator from Kronecker products."""
+    h = np.asarray(hamiltonian, dtype=complex)
+    d = h.shape[0]
+    eye = np.eye(d, dtype=complex)
+    gen = -2j * np.pi * (np.kron(h, eye) - np.kron(eye, h.T))
+    for m in range(d - 1):
+        for rate, (i, j) in (
+            (rates.gamma_down[m], (m, m + 1)),
+            (rates.gamma_up[m], (m + 1, m)),
+        ):
+            if rate == 0.0:
+                continue
+            op = np.zeros((d, d), dtype=complex)
+            op[i, j] = 1.0
+            opdag_op = op.conj().T @ op
+            gen += rate * (
+                np.kron(op, op.conj())
+                - 0.5 * (np.kron(opdag_op, eye) + np.kron(eye, opdag_op.T))
+            )
+    return gen
+
+
+@st.composite
+def generator_inputs(draw):
+    """A d-level Hermitian H (diagonal or not) and ladder rates with zeros."""
+    d = draw(st.integers(min_value=2, max_value=6))
+    entry = st.floats(min_value=-10.0, max_value=10.0)
+    re = np.array(draw(st.lists(entry, min_size=d * d, max_size=d * d)))
+    im = np.array(draw(st.lists(entry, min_size=d * d, max_size=d * d)))
+    a = (re + 1j * im).reshape(d, d)
+    h = np.diag(re[:d]) if draw(st.booleans()) else a + a.conj().T
+    rate = st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=10.0))
+    gamma_down = draw(st.lists(rate, min_size=d - 1, max_size=d - 1))
+    gamma_up = draw(st.lists(rate, min_size=d - 1, max_size=d - 1))
+    table = RateTable(
+        v=0.0,
+        omegas=np.ones(d - 1),
+        gamma_down=np.array(gamma_down),
+        gamma_up=np.array(gamma_up),
+    )
+    return h, table
+
+
 class TestDensityMatrix:
     def test_gibbs_matches_population_formula(self, transmon):
         rho = DensityMatrix.gibbs(0.3, transmon)
@@ -186,6 +230,18 @@ class TestLindbladGenerator:
         # <I| L = 0: columns of the generator sum to zero over the trace
         tr_vec = np.eye(3, dtype=complex).reshape(-1)
         assert np.abs(tr_vec @ gen).max() < 1e-12
+
+    @settings(max_examples=100, deadline=None)
+    @given(generator_inputs())
+    def test_equals_kron_reference(self, inputs):
+        """Every entry equals the Kronecker build exactly.  For a diagonal
+        H even the signs of the zeros agree; otherwise the Kronecker build
+        turns some -0.0 imaginary parts into +0.0 by adding 0 to them."""
+        h, table = inputs
+        got, want = lindblad_generator(h, table), kron_generator(h, table)
+        assert np.array_equal(got, want)
+        if not np.any(h - np.diag(np.diag(h))):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestEvolve:

@@ -140,3 +140,12 @@ def test_cycle_runs_are_deterministic(system, junction, coupling):
     b = run_cycle(spec, system, junction, coupling)
     assert np.array_equal(a.eta, b.eta)
     assert np.array_equal(a.final_populations, b.final_populations)
+
+
+def test_cycle_computes_each_bath_once(spectral_calls, system, junction, coupling):
+    """The cycle builds 14 rate tables, but only its two baths (v_hot and
+    v_cold) cost tunnelling integrals: 2 tables x 5 transitions x 2 signs."""
+    spec = OttoSpec()
+    run_cycle(spec, system, junction, coupling)
+    assert len(spectral_calls) == 20
+    assert {v for _, v, _ in spectral_calls} == {spec.v_hot, spec.v_cold}

@@ -5,6 +5,7 @@ import pytest
 from dataclasses import replace
 from numpy.testing import assert_allclose
 
+from qcrsim import qcr
 from qcrsim.constants import H_MEV_PER_GHZ, H_OVER_KB, KB_MEV_PER_K
 from qcrsim.qcr import (
     JunctionSpec,
@@ -18,6 +19,7 @@ from qcrsim.qcr import (
     transition_rates,
     tunnel_spectral_fn,
 )
+from qcrsim.system import ResonatorSpec, SystemSpec, TransmonSpec
 
 # High-precision reference values from tests/oracles/tunnel_integrals.py
 # (mpmath adaptive quadrature at 30 significant digits).  Keys are the
@@ -212,6 +214,57 @@ class TestTransitionRates:
         assert len(pairs) == 5
         assert [p.omega for p in pairs] == list(table.omegas)
         assert pairs[2].gamma_down == table.gamma_down[2]
+
+
+class TestRateCache:
+    """transition_rates evaluates each (transmon, junction, |V|) once."""
+
+    def test_repeats_compute_no_new_integrals(
+        self, spectral_calls, system, junction, coupling
+    ):
+        transition_rates(system, junction, coupling, 0.8)
+        assert len(spectral_calls) == 10  # 5 transitions x 2 signs
+        transition_rates(system, junction, coupling, 0.8)
+        transition_rates(system, junction, coupling, -0.8)
+        transition_rates(system, junction, replace(coupling, kappa_eff=0.1), 0.8)
+        transition_rates(system, junction, CouplingSpec(purcell_filter=False), 0.8)
+        other_reset = replace(system, reset_resonator=ResonatorSpec(omega=5.5))
+        transition_rates(other_reset, junction, coupling, 0.8)
+        assert len(spectral_calls) == 10
+
+    def test_new_specs_compute_new_integrals(
+        self, spectral_calls, system, junction, coupling
+    ):
+        transition_rates(system, junction, coupling, 0.8)
+        transition_rates(system, replace(junction, t_n=0.2), coupling, 0.8)
+        assert len(spectral_calls) == 20
+        three_levels = SystemSpec(transmon=TransmonSpec(n_levels=3))
+        transition_rates(three_levels, junction, coupling, 0.8)
+        assert len(spectral_calls) == 24
+        transition_rates(system, junction, coupling, 0.81)
+        assert len(spectral_calls) == 34
+
+    def test_returned_arrays_are_fresh(
+        self, spectral_calls, system, junction, coupling
+    ):
+        first = transition_rates(system, junction, coupling, 0.8)
+        want_down, want_up = first.gamma_down.copy(), first.gamma_up.copy()
+        first.gamma_down[:] = -1.0
+        first.gamma_up[0] = 0.0
+        again = transition_rates(system, junction, coupling, 0.8)
+        assert np.array_equal(again.gamma_down, want_down)
+        assert np.array_equal(again.gamma_up, want_up)
+        f_down, f_up = qcr._spectral_rows(system.transmon, 0.8, junction)
+        assert not f_down.flags.writeable and not f_up.flags.writeable
+
+    def test_cached_equals_cold(self, spectral_calls, system, junction, coupling):
+        weak = replace(coupling, kappa_eff=0.1)
+        warm = [transition_rates(system, junction, c, 1.2) for c in (coupling, weak)]
+        for c, table in zip((coupling, weak), warm):
+            qcr._spectral_rows.cache_clear()
+            cold = transition_rates(system, junction, c, -1.2)
+            assert np.array_equal(cold.gamma_down, table.gamma_down)
+            assert np.array_equal(cold.gamma_up, table.gamma_up)
 
 
 class TestEffectiveTemperature:
