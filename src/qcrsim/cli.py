@@ -248,7 +248,7 @@ def stage_fit(
     gmm = fit_gmm(
         shots, init=init, seed=_seed_for(seed, "gmm"), anchor=anchor
     )
-    est = estimate_populations(shots, gmm, seed=_seed_for(seed, "correction"))
+    est = estimate_populations(shots, gmm)
 
     model_path = outdir / "model.txt"
     model_path.write_text(
@@ -426,9 +426,7 @@ def pipeline_fig4a(cfg: ExperimentConfig, outdir: Path, seed: int):
                 p_true, model, 20000, _seed_for(seed, "fig4a-shots", i)
             )
         with _stage("fit"):
-            est = estimate_populations(
-                shots, model, seed=_seed_for(seed, "fig4a-correction")
-            )
+            est = estimate_populations(shots, model)
         order = [est.labels.index(lbl) for lbl in STATE_LABELS]
         rows.append((amp, *(est.populations[j] for j in order)))
 

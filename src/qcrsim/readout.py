@@ -4,7 +4,7 @@ A measurement record is a cloud of IQ-plane points, one 2D Gaussian blob
 per ladder state.  This module draws synthetic records from a known
 blob geometry, fits a Gaussian mixture to records by expectation
 maximization, and converts within-1-sigma counts into corrected state
-populations via a Monte Carlo confusion matrix.
+populations via a confusion matrix computed by deterministic quadrature.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
-from scipy.special import logsumexp
+from scipy.special import erf, logsumexp
 
 from .seeding import named_rng
 
@@ -23,7 +23,8 @@ EM_MAX_ITER = 500
 EM_RELTOL = 1e-8
 COLLAPSE_DET_FLOOR = 1e-12
 COND_LIMIT = 1e8
-N_MC_DEFAULT = 100_000
+QUADRATURE_TOL = 1e-13
+QUADRATURE_MAX_ANGLES = 2**16
 
 
 class CovarianceCollapseError(RuntimeError):
@@ -162,11 +163,18 @@ class GmmModel:
         )
 
 
+def _as_shots(shots) -> np.ndarray:
+    shots = np.asarray(shots, dtype=float)
+    if shots.ndim != 2 or shots.shape[1] != 2 or shots.shape[0] < 1:
+        raise ValueError(f"shots must be (n, 2) with n >= 1, got {shots.shape}")
+    if not np.isfinite(shots).all():
+        raise ValueError(f"shots of shape {shots.shape} contain non-finite values")
+    return shots
+
+
 def _log_gaussian(shots, mean, cov):
-    diff = shots - mean
     det = np.linalg.det(cov)
-    sol = np.linalg.solve(cov, diff.T)
-    maha = np.einsum("ni,in->n", diff, sol)
+    maha = mahalanobis_sq(shots, mean, cov)
     return -math.log(2.0 * math.pi) - 0.5 * math.log(det) - 0.5 * maha
 
 
@@ -245,9 +253,7 @@ def fit_gmm(
         seed-to-seed wobble of the 1-sigma ellipses from inflating the
         variance of the population estimator downstream.
     """
-    shots = np.asarray(shots, dtype=float)
-    if shots.ndim != 2 or shots.shape[1] != 2:
-        raise ValueError(f"shots must be (n, 2), got {shots.shape}")
+    shots = _as_shots(shots)
     n = shots.shape[0]
     k = n_components
     d = 2
@@ -383,50 +389,78 @@ class PopulationEstimate:
 
     populations: np.ndarray
     raw_counts: np.ndarray
-    correction: np.ndarray  # (k, k) Monte Carlo confusion matrix
+    correction: np.ndarray  # (k, k) confusion matrix, see correction_matrix
     labels: tuple[str, ...]
     condition_number: float
 
 
-def correction_matrix(
-    model, n_mc: int = N_MC_DEFAULT, seed: int = 0
-) -> np.ndarray:
-    """Monte Carlo confusion matrix M_ij.
+def _ray_mean(n, m, prec) -> np.ndarray:
+    # Trapezoid rule on n equispaced angles for the angular mean of
+    #   R = int_0^1 r exp(-(r u - m)^T prec (r u - m) / 2) dr,  u = (cos, sin),
+    # for every (i, j).  With a = u.prec.u, b = u.prec.m, c = m.prec.m the
+    # exponent is (a r^2 - 2 b r + c) / 2; completing the square in r
+    # splits R into an exp term and an erf term.
+    theta = 2.0 * math.pi * np.arange(n) / n
+    u = np.column_stack([np.cos(theta), np.sin(theta)])
+    a = np.einsum("na,ijab,nb->ijn", u, prec, u)
+    b = np.einsum("na,ijab,ijb->ijn", u, prec, m)
+    c = np.einsum("ija,ijab,ijb->ij", m, prec, m)[..., None]
+    q = np.sqrt(2.0 * a)
+    r = (np.exp(-0.5 * c) - np.exp(-0.5 * (a - 2.0 * b + c))) / a + (
+        b / a * math.sqrt(math.pi) / q
+        * np.exp(0.5 * (b * b / a - c))
+        * (erf((a - b) / q) + erf(b / q))
+    )
+    return r.mean(axis=-1)
+
+
+def correction_matrix(model) -> np.ndarray:
+    """Confusion matrix M_ij by deterministic quadrature.
 
     M_ij is the probability that a draw from blob j falls inside the
-    1-sigma ellipse of blob i, estimated from n_mc (>= 1e5) draws per
-    component on the ("correction", j) sub-streams.
+    1-sigma ellipse of blob i.  Whitening by blob i's Cholesky factor maps
+    that ellipse to the unit disk; in polar coordinates the radial
+    integral of blob j's Gaussian is closed form, and the periodic
+    angular integral uses the trapezoid rule, doubling the angles from 64
+    until two estimates agree to QUADRATURE_TOL.  Draws no random numbers.
+    Raises ValueError when QUADRATURE_MAX_ANGLES angles do not resolve the
+    geometry: two blobs whose covariances have eigenvalue ratio 1e7,
+    crossed at 90 degrees, still resolve; ratio 1e8 does not.
     """
-    if n_mc < N_MC_DEFAULT:
-        raise ValueError(f"n_mc must be at least {N_MC_DEFAULT}, got {n_mc}")
     means, covs = np.asarray(model.means), np.asarray(model.covariances)
-    k = means.shape[0]
-    m = np.empty((k, k))
-    chol = np.linalg.cholesky(covs)
-    for j in range(k):
-        rng = named_rng(seed, "correction", j)
-        pts = means[j] + rng.standard_normal((n_mc, 2)) @ chol[j].T
-        for i in range(k):
-            m[i, j] = float(np.mean(mahalanobis_sq(pts, means[i], covs[i]) <= 1.0))
-    return m
+    inv = np.linalg.inv(np.linalg.cholesky(covs))
+    # blob j in blob i's whitened frame: N(m[i, j], s[i, j])
+    m = np.einsum("iab,ijb->ija", inv, means[None] - means[:, None])
+    s = inv[:, None] @ covs[None] @ np.swapaxes(inv, 1, 2)[:, None]
+    prec = np.linalg.inv(s)
+    scale = 1.0 / np.sqrt(np.linalg.det(s))
+
+    previous, n = np.inf, 64
+    while n <= QUADRATURE_MAX_ANGLES:
+        estimate = scale * _ray_mean(n, m, prec)
+        if np.abs(estimate - previous).max() <= QUADRATURE_TOL:
+            return estimate
+        previous, n = estimate, 2 * n
+    raise ValueError(
+        f"confusion matrix not resolved by {QUADRATURE_MAX_ANGLES} angles: "
+        "blob covariances too anisotropic"
+    )
 
 
-def estimate_populations(
-    shots,
-    model,
-    n_mc: int = N_MC_DEFAULT,
-    seed: int = 0,
-) -> PopulationEstimate:
+def estimate_populations(shots, model, seed: int = 0) -> PopulationEstimate:
     """Populations from within-1-sigma counts, confusion-corrected.
 
     Counts how many shots fall inside each component's 1-sigma ellipse
     (a shot may land in several or none), solves M p = counts/n with the
-    Monte Carlo confusion matrix, clips negatives and renormalizes.
+    confusion matrix of ``correction_matrix``, clips negatives and
+    renormalizes.  The estimate is deterministic: ``seed`` is accepted
+    for existing callers and ignored.
 
-    Raises SingularCorrectionError when cond(M) > 1e8, which is what
+    Raises ValueError unless ``shots`` is a finite (n, 2) array with
+    n >= 1, and SingularCorrectionError when cond(M) > 1e8, which is what
     heavily overlapping blob geometries produce.
     """
-    shots = np.asarray(shots, dtype=float)
+    shots = _as_shots(shots)
     means = np.asarray(model.means)
     covs = np.asarray(model.covariances)
     k = means.shape[0]
@@ -439,7 +473,7 @@ def estimate_populations(
         dtype=float,
     )
 
-    m = correction_matrix(model, n_mc=n_mc, seed=seed)
+    m = correction_matrix(model)
     cond = float(np.linalg.cond(m))
     if cond > COND_LIMIT:
         raise SingularCorrectionError(

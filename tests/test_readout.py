@@ -1,9 +1,14 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.integrate import dblquad
 
+from qcrsim import readout
 from qcrsim.readout import (
     STATE_LABELS,
     CovarianceCollapseError,
@@ -179,22 +184,117 @@ class TestFitGmm:
             fit_gmm(np.vstack([good, spike]), seed=1)
 
 
+def anisotropic_model():
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal((4, 2, 2))
+    return ReadoutModel(
+        means=2.0 * rng.standard_normal((4, 2)),
+        covariances=a @ np.swapaxes(a, 1, 2) + 0.1 * np.eye(2),
+    )
+
+
+def crossed_model(axis_ratio):
+    """Two blobs whose covariances have eigenvalue ratio ``axis_ratio``,
+    long axes crossed at 90 degrees, means 0.36 apart."""
+    r = math.sqrt(axis_ratio)
+    q = np.array([[math.cos(0.3), -math.sin(0.3)], [math.sin(0.3), math.cos(0.3)]])
+    return ReadoutModel(
+        means=np.array([[0.0, 0.0], [0.3, 0.2]]),
+        covariances=np.stack(
+            [q @ np.diag([r, 1.0 / r]) @ q.T, q @ np.diag([1.0 / r, r]) @ q.T]
+        ),
+        labels=("a", "b"),
+    )
+
+
+def dblquad_mass(model, i, j):
+    """Mass of blob j inside the 1-sigma ellipse of blob i by adaptive 2D
+    quadrature: polar coordinates (r, t) about mean i scaled by
+    chol(cov_i), so the ellipse is r <= 1, and blob j's density evaluated
+    directly."""
+    chol = np.linalg.cholesky(model.covariances[i])
+    prec = np.linalg.inv(model.covariances[j])
+    offset = model.means[i] - model.means[j]
+    norm = np.linalg.det(chol) / (
+        2.0 * math.pi * math.sqrt(np.linalg.det(model.covariances[j]))
+    )
+
+    def integrand(r, t):
+        x = offset + r * (chol @ (math.cos(t), math.sin(t)))
+        return r * math.exp(-0.5 * (x @ prec @ x))
+
+    mass, _ = dblquad(integrand, 0.0, 2.0 * math.pi, 0.0, 1.0, epsabs=1e-12)
+    return norm * mass
+
+
+@st.composite
+def affine_maps(draw):
+    entry = st.floats(min_value=-2.0, max_value=2.0)
+    a = np.array(draw(st.lists(entry, min_size=4, max_size=4))).reshape(2, 2)
+    assume(abs(np.linalg.det(a)) > 0.1 and np.linalg.cond(a) < 10.0)
+    shift = st.floats(min_value=-5.0, max_value=5.0)
+    return a, np.array(draw(st.lists(shift, min_size=2, max_size=2)))
+
+
 class TestCorrectionMatrix:
+    ONE_SIGMA = 1.0 - math.exp(-0.5)
+
     def test_well_separated_is_diagonal_coverage(self):
         far = default_model(separation=40.0)
-        m = correction_matrix(far, seed=0)
-        assert_allclose(np.diag(m), 1.0 - math.exp(-0.5), atol=0.005)
+        m = correction_matrix(far)
+        assert_allclose(np.diag(m), self.ONE_SIGMA, atol=1e-12)
         off = m - np.diag(np.diag(m))
-        assert np.abs(off).max() < 1e-4
+        assert np.abs(off).max() < 1e-12
 
     def test_columns_are_probabilities(self):
-        m = correction_matrix(default_model(), seed=0)
+        m = correction_matrix(default_model())
         assert np.all(m >= 0.0)
         assert np.all(m <= 1.0)
 
-    def test_rejects_small_sample_budget(self):
-        with pytest.raises(ValueError):
-            correction_matrix(default_model(), n_mc=10_000)
+    @pytest.mark.parametrize(
+        "model",
+        [default_model(), anisotropic_model(), default_model(h_scale=6.0)],
+        ids=["default", "anisotropic", "broad-h"],
+    )
+    def test_diagonal_is_one_sigma_mass(self, model):
+        """Criterion 3: every blob puts 1 - e^-1/2 inside its own ellipse."""
+        m = correction_matrix(model)
+        assert_allclose(np.diag(m), self.ONE_SIGMA, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "model",
+        [default_model(), anisotropic_model(), crossed_model(1e4)],
+        ids=["default", "anisotropic", "crossed-1e4"],
+    )
+    def test_matches_dblquad_oracle(self, model):
+        k = model.n_components
+        want = [[dblquad_mass(model, i, j) for j in range(k)] for i in range(k)]
+        assert_allclose(correction_matrix(model), want, rtol=0.0, atol=1e-10)
+
+    @settings(max_examples=30, deadline=None)
+    @given(affine_maps())
+    def test_invariant_under_common_affine_map(self, affine):
+        a, shift = affine
+        model = default_model()
+        mapped = ReadoutModel(
+            means=model.means @ a.T + shift,
+            covariances=a @ model.covariances @ a.T,
+        )
+        assert_allclose(
+            correction_matrix(mapped), correction_matrix(model), rtol=0.0, atol=1e-12
+        )
+
+    def test_deterministic_without_random_draws(self, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("correction_matrix drew random numbers")
+
+        monkeypatch.setattr(readout, "named_rng", no_draws)
+        first = correction_matrix(default_model())
+        assert correction_matrix(default_model()).tobytes() == first.tobytes()
+
+    def test_unresolved_geometry_raises(self):
+        with pytest.raises(ValueError, match="anisotropic"):
+            correction_matrix(crossed_model(1e8))
 
 
 class TestEstimatePopulations:
@@ -218,6 +318,17 @@ class TestEstimatePopulations:
         assert (
             np.abs(est.populations - p).max() < np.abs(naive - p).max()
         )
+
+    @pytest.mark.parametrize(
+        "shots",
+        [np.empty((0, 2)), np.zeros((5, 3)), np.array([[0.0, np.nan]] * 50)],
+        ids=["empty", "three-columns", "nan"],
+    )
+    def test_rejects_malformed_shots(self, shots):
+        with pytest.raises(ValueError, match=re.escape(str(shots.shape))):
+            estimate_populations(shots, default_model())
+        with pytest.raises(ValueError, match=re.escape(str(shots.shape))):
+            fit_gmm(shots)
 
     def test_overlapping_geometry_is_singular(self):
         means = np.tile([[0.0, 0.0]], (4, 1))
