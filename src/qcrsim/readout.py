@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
-from scipy.special import erf, logsumexp
+from scipy.special import erf
 
 from .seeding import named_rng
 
@@ -124,11 +124,48 @@ def fraction_within_sigma(m: float = 1.0) -> float:
     return 1.0 - math.exp(-0.5 * m * m)
 
 
+def _det(cov):
+    # explicit determinant over the last two (2x2) axes
+    return cov[..., 0, 0] * cov[..., 1, 1] - cov[..., 0, 1] * cov[..., 1, 0]
+
+
+def _inv(cov):
+    # explicit 2x2 inverse over the last two axes: adjugate / determinant
+    adj = np.stack(
+        [cov[..., 1, 1], -cov[..., 0, 1], -cov[..., 1, 0], cov[..., 0, 0]], axis=-1
+    )
+    return adj.reshape(cov.shape) / _det(cov)[..., None, None]
+
+
 def mahalanobis_sq(points, mean, cov) -> np.ndarray:
-    """Squared Mahalanobis distance of each point to (mean, cov)."""
-    diff = np.asarray(points, dtype=float) - np.asarray(mean, dtype=float)
-    sol = np.linalg.solve(np.asarray(cov, dtype=float), diff.T)
-    return np.einsum("ni,in->n", diff, sol)
+    """Squared Mahalanobis distance of each point to (mean, cov).
+
+    Raises ValueError unless ``points`` is (n, 2), ``mean`` has shape (2,)
+    and ``cov`` is a finite 2x2 symmetric positive-definite matrix.
+    """
+    points = np.asarray(points, dtype=float)
+    mean = np.asarray(mean, dtype=float)
+    cov = np.asarray(cov, dtype=float)
+    if points.ndim != 2 or points.shape[1] != 2 or mean.shape != (2,):
+        raise ValueError(
+            f"points must be (n, 2) and mean (2,), got {points.shape} and {mean.shape}"
+        )
+    if (
+        cov.shape != (2, 2)
+        or not np.isfinite(cov).all()
+        or abs(cov[0, 1] - cov[1, 0]) > 1e-12 * (abs(cov[0, 0]) + abs(cov[1, 1]))
+        or cov[0, 0] <= 0
+        or _det(cov) <= 0
+    ):
+        raise ValueError(
+            f"cov {cov.tolist()} is not a 2x2 symmetric positive-definite matrix"
+        )
+    inv = _inv(cov)
+    dx = points[:, 0] - mean[0]
+    dy = points[:, 1] - mean[1]
+    return (
+        inv[0, 0] * dx * dx + (inv[0, 1] + inv[1, 0]) * dx * dy + inv[1, 1] * dy * dy
+    )
 
 
 @dataclass
@@ -173,9 +210,23 @@ def _as_shots(shots) -> np.ndarray:
 
 
 def _log_gaussian(shots, mean, cov):
-    det = np.linalg.det(cov)
     maha = mahalanobis_sq(shots, mean, cov)
-    return -math.log(2.0 * math.pi) - 0.5 * math.log(det) - 0.5 * maha
+    return -math.log(2.0 * math.pi) - 0.5 * math.log(_det(cov)) - 0.5 * maha
+
+
+def _e_step(shots, weights, means, covs):
+    # Responsibilities (k, n) and the log mixture density of each shot,
+    # log sum_j w_j N(x | mean_j, cov_j), by a max-shifted log-sum-exp.
+    log_joint = np.stack(
+        [
+            math.log(w) + _log_gaussian(shots, m, c)
+            for w, m, c in zip(weights, means, covs)
+        ]
+    )
+    top = log_joint.max(axis=0)
+    joint = np.exp(log_joint - top)
+    total = joint.sum(axis=0)
+    return joint / total, top + np.log(total)
 
 
 def _kmeanspp_init(shots, k, rng):
@@ -201,7 +252,7 @@ def _kmeanspp_init(shots, k, rng):
         pts = shots[assign == j]
         weights[j] = max(pts.shape[0], 1) / n
         covs[j] = np.cov(pts.T) if pts.shape[0] > 2 else global_cov
-        if np.linalg.det(covs[j]) <= 0:
+        if _det(covs[j]) <= 0:
             covs[j] = global_cov
     return weights / weights.sum(), means, covs
 
@@ -211,16 +262,15 @@ def _log_anchor_prior(means, covs, m0, psi0, kappa0, nu0):
     # constants: the quantity EM-MAP is guaranteed to ascend is the data
     # log likelihood plus this.
     d = means.shape[1]
-    total = 0.0
-    for j in range(means.shape[0]):
-        inv = np.linalg.inv(covs[j])
-        diff = means[j] - m0[j]
-        total += (
-            -0.5 * (nu0 + d + 2) * math.log(np.linalg.det(covs[j]))
-            - 0.5 * float(np.trace(psi0[j] @ inv))
-            - 0.5 * kappa0 * float(diff @ inv @ diff)
+    inv = _inv(covs)
+    diff = means - m0
+    return float(
+        np.sum(
+            -0.5 * (nu0 + d + 2) * np.log(_det(covs))
+            - 0.5 * np.einsum("jab,jba->j", psi0, inv)
+            - 0.5 * kappa0 * np.einsum("ja,jab,jb->j", diff, inv, diff)
         )
-    return total
+    )
 
 
 def fit_gmm(
@@ -294,18 +344,10 @@ def fit_gmm(
     just_reseeded = False
     it = 0
     for it in range(1, EM_MAX_ITER + 1):
-        # E step
-        log_resp = np.empty((n, k))
-        for j in range(k):
-            log_resp[:, j] = math.log(weights[j]) + _log_gaussian(
-                shots, means[j], covs[j]
-            )
-        norm = logsumexp(log_resp, axis=1)
-        ll = float(norm.sum())
-        obj = ll
+        resp, log_mix = _e_step(shots, weights, means, covs)
+        obj = float(log_mix.sum())
         if anchored:
             obj += _log_anchor_prior(means, covs, m0, psi0, kappa0, nu0)
-        resp = np.exp(log_resp - norm[:, None])
 
         # EM ascent guarantee; a reseed restarts the sequence
         if (
@@ -321,14 +363,14 @@ def fit_gmm(
         just_reseeded = False
 
         # M step
-        nk = resp.sum(axis=0)
+        nk = resp.sum(axis=1)
         weights = nk / n
-        xbar = (resp.T @ shots) / nk[:, None]
+        xbar = (resp @ shots) / nk[:, None]
         if anchored:
             means = (kappa0 * m0 + nk[:, None] * xbar) / (kappa0 + nk)[:, None]
             for j in range(k):
                 diff = shots - xbar[j]
-                s_j = (resp[:, j][:, None] * diff).T @ diff
+                s_j = (resp[j][:, None] * diff).T @ diff
                 pull = xbar[j] - m0[j]
                 shrink = kappa0 * nk[j] / (kappa0 + nk[j])
                 covs[j] = (psi0[j] + s_j + shrink * np.outer(pull, pull)) / (
@@ -338,9 +380,9 @@ def fit_gmm(
             means = xbar
             for j in range(k):
                 diff = shots - means[j]
-                covs[j] = (resp[:, j][:, None] * diff).T @ diff / nk[j]
+                covs[j] = (resp[j][:, None] * diff).T @ diff / nk[j]
 
-        collapsed = [j for j in range(k) if np.linalg.det(covs[j]) < det_floor]
+        collapsed = [j for j in range(k) if _det(covs[j]) < det_floor]
         for j in collapsed:
             if reseeded[j]:
                 raise CovarianceCollapseError(
@@ -376,7 +418,7 @@ def fit_gmm(
         means=means,
         covariances=covs,
         labels=labels,
-        loglik=ll,
+        loglik=float(_e_step(shots, weights, means, covs)[1].sum()),
         converged=converged,
         n_iter=it,
         loglik_history=np.array(history),

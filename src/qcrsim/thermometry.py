@@ -12,13 +12,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares, minimize_scalar
+from scipy.optimize import least_squares
 
 from .constants import H_OVER_KB
 from .qcr import JunctionSpec
 from .system import TransmonSpec, transmon_energies
 
 T_BOUNDS = (1e-3, 5.0)  # K; search range of the Gibbs fit
+GIBBS_XTOL = 1e-14  # relative Newton step in 1/T that ends the Gibbs fit
+GIBBS_NOISE = 1e-9  # Newton steps below this that stop halving are rounding
+GIBBS_MAX_ITER = 100  # far above the ~57 halvings of the widest bracket
 TAU_STARTS = (25.0, 50.0, 100.0, 200.0, 400.0)  # ns; saturation multistart
 V_MIN_DEFAULT = JunctionSpec().delta  # mV; gap edge, onset of the heating slope
 
@@ -88,15 +91,24 @@ class GibbsFit:
 def fit_gibbs(p_measured, spec: TransmonSpec) -> GibbsFit:
     """Least-squares Gibbs temperature for measured populations.
 
-    The model is the spec.n_levels-truncated Gibbs distribution
-    renormalized over the first len(p_measured) states; the single
-    temperature parameter is minimized by bounded golden-section /
-    parabolic search on T in [1 mK, 5 K].  The quoted uncertainty comes
-    from the curvature of the residual at the minimum.
+    The model is the Gibbs distribution q(beta) over the first
+    k = len(p_measured) ladder states, beta = 1/T; the fit minimizes
+    R = |p - q|^2 over T in T_BOUNDS.  R'(beta) and R''(beta) are
+    analytic, so T is the root of R' found by Newton steps safeguarded by
+    bisection of a sign-change bracket, started at the closed-form
+    estimate from p_0/p_1; when R' does not change sign in the range the
+    bound it points to is returned exactly.
+
+    ``uncertainty`` is sqrt(2 s^2 / R''(T)) with s^2 = R/(k-1): a
+    residual-curvature error that says how well one temperature
+    describes the populations, not the shot noise of the readout.
+    Raises ValueError for non-finite, negative or all-zero populations.
     """
     p = np.asarray(p_measured, dtype=float)
     if p.ndim != 1 or not 2 <= p.size <= spec.n_levels:
         raise ValueError(f"need between 2 and {spec.n_levels} populations")
+    if not np.isfinite(p).all():
+        raise ValueError(f"non-finite population {p[~np.isfinite(p)][0]}")
     if p.min() < -1e-9:
         raise ValueError(f"negative population {p.min()}")
     p = np.clip(p, 0.0, None)
@@ -108,32 +120,73 @@ def fit_gibbs(p_measured, spec: TransmonSpec) -> GibbsFit:
         return GibbsFit(math.nan, math.nan, math.nan, p.size, thermal=False)
 
     k = p.size
+    e = H_OVER_KB * transmon_energies(spec)[:k]  # K, e[0] = 0
 
-    def residual(t: float) -> float:
-        model = gibbs_populations(t, spec)
-        lead = model[:k]
-        diff = p - lead / lead.sum()
-        return float(diff @ diff)
+    def derivatives(beta: float):
+        # q = softmax(-beta e), u = e - <e>_q:  q' = -q u,
+        # q'' = q (u^2 - var u), so R' = 2 sum d q u with d = p - q and
+        # R'' = 2 sum (q u)^2 - 2 sum d q u u + 2 var u sum d q.
+        w = np.exp(-beta * e)
+        total = w.sum()
+        q = w / total
+        u = e - q @ e
+        qu = q * u
+        d = p - q
+        # p_0 - q_0 from 1 - q_0 = sum(w[1:]) / sum(w): when the excited
+        # populations are tiny, p_0 - q_0 rounded near 1 would be noise.
+        d[0] = (p[0] - 1.0) + (total - w[0]) / total
+        r2 = qu @ qu - d @ (qu * u) + (qu @ u) * (d @ q)
+        return d @ d, 2.0 * (d @ qu), 2.0 * r2
 
-    res = minimize_scalar(
-        residual,
-        bounds=T_BOUNDS,
-        method="bounded",
-        options={"xatol": 1e-10},
-    )
-    t_hat = float(res.x)
-    r_min = float(res.fun)
+    lo, hi = 1.0 / T_BOUNDS[1], 1.0 / T_BOUNDS[0]
+    beta = math.log(p[0] / p[1]) / e[1] if p[1] > 0 else hi
+    beta = min(max(beta, lo), hi)
+    r_min, r1, r2 = derivatives(beta)
+    # The minimum lies downhill of the start: inside the bracket it forms
+    # with the bound on that side, or at that bound when R' keeps its
+    # sign all the way there.
+    edge = lo if r1 > 0 else hi
+    at_edge = derivatives(edge) if edge != beta else (r_min, r1, r2)
+    if r1 != 0 and (at_edge[1] == 0 or (at_edge[1] > 0) == (r1 > 0)):
+        beta, (r_min, r1, r2) = edge, at_edge
+    else:
+        # Newton on R' inside the sign-change bracket; a step that leaves
+        # the bracket or does not halve the previous one is replaced by
+        # bisection.  Stop once the Newton step or the bracket is below
+        # GIBBS_XTOL of beta, or a step below GIBBS_NOISE fails to halve:
+        # R' is then at its rounding noise (nearly uniform populations),
+        # and bisecting a one-sided bracket would only wander off.
+        lo, hi = min(beta, edge), max(beta, edge)
+        last_step = hi - lo
+        for _ in range(GIBBS_MAX_ITER):
+            step = r1 / r2 if r2 > 0 else math.inf
+            stalled = abs(step) > 0.5 * abs(last_step)
+            tol = GIBBS_NOISE if stalled else GIBBS_XTOL
+            if min(abs(step), hi - lo) <= tol * beta:
+                break
+            if stalled or not lo < beta - step < hi:
+                step = beta - 0.5 * (lo + hi)
+            beta -= step
+            last_step = step
+            r_min, r1, r2 = derivatives(beta)
+            if r1 < 0:
+                lo = beta
+            else:
+                hi = beta
+        else:
+            raise RuntimeError(f"Gibbs fit did not converge for populations {p}")
 
-    # curvature-based 1-sigma: var = 2 s^2 / R''(T), s^2 = R/(k-1)
-    h = max(1e-7, 1e-4 * t_hat)
-    r_pp = (residual(t_hat + h) - 2.0 * r_min + residual(t_hat - h)) / h**2
+    t_hat = float(1.0 / beta)
+    # curvature-based 1-sigma: var = 2 s^2 / R''(T), s^2 = R/(k-1), with
+    # d2R/dT2 = beta^4 R''(beta) + 2 beta^3 R'(beta)
+    r_pp = beta**4 * r2 + 2.0 * beta**3 * r1
     if r_pp > 0:
         dof = max(k - 1, 1)
         sigma = math.sqrt(max(2.0 * (r_min / dof) / r_pp, 0.0))
     else:
         sigma = math.inf
 
-    return GibbsFit(t_hat, sigma, r_min, k, thermal=True)
+    return GibbsFit(t_hat, sigma, float(r_min), k, thermal=True)
 
 
 @dataclass(frozen=True)

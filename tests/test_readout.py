@@ -7,6 +7,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import dblquad
+from scipy.special import logsumexp
+from scipy.stats import multivariate_normal
 
 from qcrsim import readout
 from qcrsim.readout import (
@@ -73,6 +75,62 @@ def test_mahalanobis_identity_covariance():
     pts = np.array([[1.0, 0.0], [0.0, 2.0], [3.0, 4.0]])
     d2 = mahalanobis_sq(pts, np.zeros(2), np.eye(2))
     assert_allclose(d2, [1.0, 4.0, 25.0])
+
+
+@pytest.mark.parametrize(
+    "points, mean, cov",
+    [
+        (np.zeros((3, 2)), np.zeros(2), [[1.0, 1.0], [1.0, 1.0]]),
+        (np.zeros((3, 2)), np.zeros(2), [[1.0, 0.0], [0.0, -1.0]]),
+        (np.zeros((3, 2)), np.zeros(2), [[-1.0, 0.0], [0.0, -1.0]]),
+        (np.zeros((3, 2)), np.zeros(2), [[1.0, 0.5], [0.0, 1.0]]),
+        (np.zeros((3, 2)), np.zeros(2), [[1.0, np.nan], [np.nan, 1.0]]),
+        (np.zeros((3, 2)), np.zeros(2), np.eye(3)),
+        (np.zeros((3, 3)), np.zeros(2), np.eye(2)),
+        (np.zeros(2), np.zeros(2), np.eye(2)),
+        (np.zeros((3, 2)), np.zeros(3), np.eye(2)),
+    ],
+    ids=[
+        "singular", "indefinite", "negative", "asymmetric", "nan",
+        "3x3-cov", "3-columns", "1-d-points", "3-mean",
+    ],
+)
+def test_mahalanobis_rejects_malformed_input(points, mean, cov):
+    with pytest.raises(ValueError):
+        mahalanobis_sq(points, mean, cov)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    log_scale=st.floats(min_value=-3.0, max_value=3.0),
+    log_cond=st.floats(min_value=0.0, max_value=6.0, exclude_max=True),
+    angle=st.floats(min_value=0.0, max_value=math.pi),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_explicit_inverse_matches_solve(log_scale, log_cond, angle, seed):
+    """Distances and log densities agree with np.linalg.solve/slogdet.
+
+    Both sides round at the level eps * cond(cov): at cond 1e6 solve
+    itself is 3e-11 away from the exact value (extended precision), so the
+    tolerance is 1e-12 up to cond ~ 1e3 and grows as 4 eps cond above.
+    """
+    c, s = math.cos(angle), math.sin(angle)
+    rot = np.array([[c, -s], [s, c]])
+    cov = rot @ np.diag([10.0**log_scale, 10.0 ** (log_scale + log_cond)]) @ rot.T
+    cov = 0.5 * (cov + cov.T)
+    rng = np.random.default_rng(seed)
+    mean = rng.standard_normal(2)
+    points = rng.multivariate_normal(mean, cov, size=50)
+    diff = points - mean
+    want = np.einsum("ni,in->n", diff, np.linalg.solve(cov, diff.T))
+    rtol = max(1e-12, 4 * np.finfo(float).eps * np.linalg.cond(cov))
+    assert_allclose(mahalanobis_sq(points, mean, cov), want, rtol=rtol)
+    log_density = (
+        -math.log(2.0 * math.pi) - 0.5 * np.linalg.slogdet(cov)[1] - 0.5 * want
+    )
+    # log det carries an absolute error of about its relative error
+    got = readout._log_gaussian(points, mean, cov)
+    assert_allclose(got, log_density, rtol=rtol, atol=rtol)
 
 
 class TestFractionWithinSigma:
@@ -175,6 +233,20 @@ class TestFitGmm:
         shots = synthesize_shots([0.25] * 4, model, 30, seed=9)
         with pytest.raises(ValueError, match="shots"):
             fit_gmm(shots)
+
+    @pytest.mark.parametrize(
+        "init", [default_model(), None], ids=["anchored", "blind"]
+    )
+    def test_loglik_is_data_likelihood_of_returned_model(self, init):
+        p = [0.6, 0.25, 0.1, 0.05]
+        shots = synthesize_shots(p, default_model(), 10_000, seed=15)
+        fit = fit_gmm(shots, init=init, seed=15)
+        log_pdf = [
+            math.log(w) + multivariate_normal(m, c).logpdf(shots)
+            for w, m, c in zip(fit.weights, fit.means, fit.covariances)
+        ]
+        want = float(logsumexp(log_pdf, axis=0).sum())
+        assert fit.loglik == pytest.approx(want, rel=1e-12)
 
     def test_repeated_point_cluster_collapses(self):
         model = default_model()

@@ -1,12 +1,17 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.optimize import minimize_scalar
 
 from qcrsim.constants import H_OVER_KB
 from qcrsim.system import TransmonSpec, transmon_energies
 from qcrsim.thermometry import (
+    T_BOUNDS,
     GibbsFit,
     SaturationFit,
     fit_gibbs,
@@ -75,12 +80,66 @@ def test_is_monotone_thermal_edges():
     assert not is_monotone_thermal([0.4, 0.6])
 
 
+def bounded_search_fit(p, spec):
+    """(T, residual function) of the bounded golden-section/parabolic
+    search that fit_gibbs used before its Newton solve: the oracle.
+
+    The residual is evaluated with 30 digits.  In double precision, inputs
+    such as [1 - 2e-9, 1e-9, 1e-9] leave R with rounding noise of 1e-7 of
+    its value, which moves the search's minimum by 1e-6 of T.
+    """
+    p = np.asarray(p, dtype=float)
+    p = p / p.sum()
+    e = H_OVER_KB * transmon_energies(spec)[: p.size]
+
+    def residual(t):
+        with mpmath.workdps(30):
+            w = [mpmath.exp(-mpmath.mpf(e_n) / t) for e_n in e]
+            total = sum(w)
+            diff = [mpmath.mpf(p_n) - w_n / total for p_n, w_n in zip(p, w)]
+            return float(sum(x**2 for x in diff))
+
+    res = minimize_scalar(
+        residual, bounds=T_BOUNDS, method="bounded", options={"xatol": 1e-10}
+    )
+    return float(res.x), residual
+
+
+@st.composite
+def thermal_populations(draw):
+    """Non-increasing population vectors of 2 to 6 states: either sorted
+    arbitrary weights or a Gibbs vector with relative noise, sorted.
+
+    Entries below 1e-8 of the largest are set to zero.  Below that the
+    least-squares T is decided by the rounding of p_0: for p = [1, 1e-14]
+    one ulp of p_0 moves the exact minimum by 1.7e-4 of T, so no double
+    precision fit can be held to 1e-6 there.
+    """
+    k = draw(st.integers(min_value=2, max_value=6))
+    if draw(st.booleans()):
+        weights = np.array(
+            draw(
+                st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k).filter(
+                    lambda w: sum(w) > 0
+                )
+            )
+        )
+    else:
+        t = draw(st.floats(0.01, 3.0))
+        noise = draw(st.lists(st.floats(-0.2, 0.2), min_size=k, max_size=k))
+        weights = gibbs_populations(t, TransmonSpec(), truncation=k) * (
+            1.0 + np.array(noise)
+        )
+    weights[weights < 1e-8 * weights.max()] = 0.0
+    return sorted(weights, reverse=True)
+
+
 class TestFitGibbs:
     @pytest.mark.parametrize("t_true", [0.05, 0.11, 0.3, 0.476, 1.0])
     def test_round_trip(self, transmon, t_true):
         fit = fit_gibbs(gibbs_populations(t_true, transmon), transmon)
         assert fit.thermal
-        assert fit.temperature == pytest.approx(t_true, abs=1e-6)
+        assert fit.temperature == pytest.approx(t_true, rel=1e-12)
         assert fit.residual < 1e-15
         assert 0 <= fit.uncertainty < math.inf
 
@@ -88,7 +147,44 @@ class TestFitGibbs:
         p4 = gibbs_populations(0.3, transmon, truncation=4)
         fit = fit_gibbs(p4, transmon)
         assert fit.truncation == 4
-        assert fit.temperature == pytest.approx(0.3, abs=1e-6)
+        assert fit.temperature == pytest.approx(0.3, rel=1e-12)
+
+    @pytest.mark.parametrize("k", [2, 4, 6])
+    def test_boundary_inputs_return_the_bounds(self, transmon, k):
+        assert fit_gibbs(np.eye(k)[0], transmon).temperature == T_BOUNDS[0]
+        assert fit_gibbs(np.full(k, 1.0 / k), transmon).temperature == T_BOUNDS[1]
+
+    @settings(max_examples=200, deadline=None)
+    @given(thermal_populations())
+    def test_agrees_with_bounded_search(self, p):
+        spec = TransmonSpec()
+        fit = fit_gibbs(p, spec)
+        t_oracle, residual = bounded_search_fit(p, spec)
+        assert fit.temperature == pytest.approx(t_oracle, rel=1e-6)
+        r_oracle = residual(t_oracle)
+        # q_n in double precision carries an absolute error of about eps,
+        # which leaves R undetermined at the level (k eps)^2 ~ 1e-30
+        assert residual(fit.temperature) <= r_oracle + 1e-30
+
+    def test_uncertainty_is_residual_curvature(self, transmon):
+        """sigma^2 = 2 (R/(k-1)) / R''(T), R'' by central difference."""
+        p = gibbs_populations(0.2, transmon, truncation=4) * [1.0, 1.02, 0.95, 1.1]
+        fit = fit_gibbs(p, transmon)
+        _, residual = bounded_search_fit(p, transmon)
+        t, h = fit.temperature, 1e-4 * fit.temperature
+        r_pp = (residual(t + h) - 2.0 * residual(t) + residual(t - h)) / h**2
+        assert fit.uncertainty == pytest.approx(
+            math.sqrt(2.0 * fit.residual / 3 / r_pp), rel=1e-6
+        )
+
+    @pytest.mark.parametrize(
+        "p",
+        [[math.nan, 0.1, 0.05, 0.01], [math.inf, 0.1, 0.05, 0.01], [0.5, -math.inf]],
+    )
+    def test_rejects_non_finite(self, transmon, p):
+        bad = next(x for x in p if not math.isfinite(x))
+        with pytest.raises(ValueError, match=f"non-finite population {bad}"):
+            fit_gibbs(p, transmon)
 
     def test_non_monotone_flagged(self, transmon):
         fit = fit_gibbs([0.3, 0.5, 0.15, 0.05], transmon)
