@@ -17,15 +17,35 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .constants import H_MEV_PER_GHZ, H_OVER_KB, KB_MEV_PER_K
 from .system import SystemSpec, TransmonSpec, transition_frequencies
 
-# Integration window for the tunneling integrals, in units of the gap.
+# Integration window for the tunneling integrals beyond the furthest
+# Fermi edge, in units of the gap.
 INTEGRATION_HALFWIDTH = 30.0
 QUAD_RELTOL = 1e-10
-QUAD_LIMIT = 400
+QUAD_LIMIT = 400  # most panels one integral may be cut into
+# Distance from a Fermi edge, in kT, beyond which its occupation tail is
+# below double-precision eps (e^-36 = 2.3e-16).
+_FERMI_REACH = 36.0
+
+# Gauss-Kronrod 7/15 rule on [-1, 1] (QUADPACK qk15), outermost node
+# first: node, Kronrod weight, Gauss weight (zero on the Kronrod-only
+# nodes).  Mirrored about the centre node into increasing node order.
+_GK_HALF = np.array(
+    [
+        [0.991455371120812639, 0.022935322010529225, 0.0],
+        [0.949107912342758525, 0.063092092629978553, 0.129484966168869693],
+        [0.864864423359769073, 0.104790010322250184, 0.0],
+        [0.741531185599394440, 0.140653259715525919, 0.279705391489276668],
+        [0.586087235467691130, 0.169004726639267903, 0.0],
+        [0.405845151377397167, 0.190350578064785410, 0.381830050505118945],
+        [0.207784955007898468, 0.204432940075298892, 0.0],
+        [0.0, 0.209482141084727828, 0.417959183673469388],
+    ]
+)
+_GK_X, _GK_WK, _GK_WG = np.vstack([_GK_HALF * [-1, 1, 1], _GK_HALF[-2::-1]]).T
 
 # kappa_eff default: overall junction-transmon rate scale in 1/ns.
 # Calibrated (see calibrate.calibrate_kappa_eff) so that a 100 ns, 1.2 mV
@@ -147,21 +167,109 @@ def dynes_dos(eps, gamma_d: float):
     return out
 
 
-def _fermi(y: float) -> float:
-    # occupation 1/(1+e^y) with overflow guard; y = energy/kT
-    if y > 700.0:
-        return 0.0
-    if y < -700.0:
-        return 1.0
-    return 1.0 / (1.0 + math.exp(y))
+def _occupation(y):
+    # Fermi occupation 1/(1 + e^y), relatively accurate in its tail; e^700
+    # keeps clear of overflow, and 1/(1 + e^700) is as good as zero here
+    return 1.0 / (1.0 + np.exp(np.minimum(y, 700.0)))
 
 
-def _dynes_scalar(x: float, gamma_d: float) -> float:
-    z = complex(x, gamma_d)
-    return abs((z / (z * z - 1.0) ** 0.5).real)
+def _gauss_kronrod(integrand, knots, where) -> np.ndarray:
+    """Adaptive G7/K15 quadrature of a batch of integrals.
+
+    Integral i runs over the increasing breakpoints ``knots[i]``, one
+    starting panel between each neighbouring pair.  ``integrand(x, k)``
+    returns integrand k[p] at x[p] for a (panels, 15) array x.  Each round
+    evaluates only the panels not seen before.  Integral i is done when
+    the |K - G| of its panels sum to at most max(QUAD_RELTOL |I|,
+    50 eps int|f|), the second term a floor at the roundoff of the sum.
+    Until then, its panels with the largest |K - G| are bisected, as few
+    as leave the others' sum within an eighth of that tolerance, so panels
+    at the integrand's roundoff level are not split for their own sake.
+    Every sum over an integral's panels runs in an order only its own
+    history sets (``np.bincount``, a row-wise ``np.cumsum``), so a value
+    does not depend, bit for bit, on the rest of the batch.  Raises
+    RuntimeError naming ``where(i)`` when integral i would need more than
+    QUAD_LIMIT panels.
+    """
+    n = len(knots)
+    if n == 0:
+        return np.empty(0)
+    counts = np.array([len(t) - 1 for t in knots])
+    owner = np.repeat(np.arange(n), counts)
+    new_lo = np.concatenate([t[:-1] for t in knots])
+    new_hi = np.concatenate([t[1:] for t in knots])
+    panels = np.empty((6, 0))  # rows: lo, hi, owner, K, |K - G|, int |f|
+    result = np.empty(n)
+    pending = np.ones(n, dtype=bool)
+    while True:
+        if counts.max() > QUAD_LIMIT:
+            i = int(np.argmax(counts))
+            raise RuntimeError(
+                f"tunnelling integral at {where(i)} needs more than "
+                f"{QUAD_LIMIT} panels"
+            )
+        half = 0.5 * (new_hi - new_lo)
+        f = integrand((new_lo + half)[:, None] + half[:, None] * _GK_X, owner)
+        kronrod = (f * _GK_WK).sum(axis=1) * half
+        error = np.abs(kronrod - (f * _GK_WG).sum(axis=1) * half)
+        magnitude = (np.abs(f) * _GK_WK).sum(axis=1) * half
+        panels = np.hstack(
+            [panels, [new_lo, new_hi, owner, kronrod, error, magnitude]]
+        )
+        own = panels[2].astype(int)
+        value, total_error, total_magnitude = (
+            np.bincount(own, row, n) for row in panels[3:]
+        )
+        tol = np.maximum(
+            QUAD_RELTOL * np.abs(value), 50.0 * np.finfo(float).eps * total_magnitude
+        )
+        done = pending & (total_error <= tol)
+        result[done] = value[done]
+        pending &= ~done
+        if not pending.any():
+            return result
+        keep = pending[own]
+        panels, own = panels[:, keep], own[keep]
+        # Sort each integral's panels by error and add the errors up from
+        # the smallest, one table row per integral; a panel splits once
+        # the running sum passes tol/8 (NaN sorts last and splits too).
+        order = np.lexsort((panels[4], own))
+        ranked = own[order]
+        rank = np.arange(own.size) - np.searchsorted(ranked, ranked)
+        table = np.zeros((n, rank.max() + 1))
+        table[ranked, rank] = panels[4, order]
+        split = np.empty(own.size, dtype=bool)
+        split[order] = ~(np.cumsum(table, axis=1)[ranked, rank] <= tol[ranked] / 8)
+        lo, hi = panels[0, split], panels[1, split]
+        mid = 0.5 * (lo + hi)
+        new_lo = np.concatenate([lo, mid])
+        new_hi = np.concatenate([mid, hi])
+        owner = np.tile(own[split], 2)
+        panels = panels[:, ~split]
+        counts = np.bincount(own, minlength=n) + np.bincount(
+            own[split], minlength=n
+        )
 
 
-def tunnel_spectral_fn(e: float, v: float, junction: JunctionSpec) -> float:
+def _knots(lim: float, fermi_edges, beta: float) -> list[float]:
+    # Starting breakpoints: the gap edges, each Fermi edge and the points
+    # _FERMI_REACH kT either side of it, so that no starting panel ends in
+    # a thermal step or tail narrower than its Gauss-Kronrod nodes resolve.
+    reach = _FERMI_REACH / beta
+    inner = {-1.0, 1.0, *fermi_edges}
+    inner |= {p + s for p in fermi_edges for s in (-reach, reach)}
+    return [-lim, *sorted(p for p in inner if -lim < p < lim), lim]
+
+
+def _finite(name: str, value) -> np.ndarray:
+    values = np.asarray(value, dtype=float)
+    if not np.isfinite(values).all():
+        bad = values[~np.isfinite(values)][0]
+        raise ValueError(f"{name} must be finite, got {bad}")
+    return values
+
+
+def tunnel_spectral_fn(e, v: float, junction: JunctionSpec):
     """Normalized golden-rule spectral function F(E, V) of the junction.
 
     F(E, V) = (1/Delta) * sum_{tau=+-1} integral deps
@@ -174,43 +282,56 @@ def tunnel_spectral_fn(e: float, v: float, junction: JunctionSpec) -> float:
 
     Parameters
     ----------
-    e : float
-        Photon energy in meV (signed).
+    e : float or array
+        Photon energy in meV (signed).  An array is integrated as one
+        batch and gives an array of its shape; a scalar gives a float.
     v : float
         Bias voltage in mV; enters via |v|, so F is even in v.
     junction : JunctionSpec
 
+    Raises
+    ------
+    ValueError
+        If e or v is NaN or infinite.
+    RuntimeError
+        If an integral needs more than QUAD_LIMIT panels.
+
     Notes
     -----
-    Adaptive quadrature over eps in +-30 Delta with forced subdivision at
-    the gap edges and at the Fermi edges, relative tolerance 1e-10.
+    Adaptive Gauss-Kronrod (G7/K15) quadrature over eps in
+    +-(INTEGRATION_HALFWIDTH + |eV|/Delta + |E|/Delta) Delta, so the window
+    reaches 30 Delta beyond both Fermi edges at any bias.  The starting
+    panels end at the gap edges, at each Fermi edge (E +- eV and 0) and
+    36 kT either side of it, so no panel starts out too long for a thermal
+    step at its end; relative tolerance QUAD_RELTOL = 1e-10.  Each value
+    is the same, bit for bit, alone or in any batch.
     """
+    energies = _finite("photon energy e", e)
+    _finite("bias v", v)
     delta = junction.delta
     beta = delta / (KB_MEV_PER_K * junction.t_n)  # gap / thermal energy
     u = abs(v) / delta
-    w = e / delta
+    w = energies.ravel() / delta
     gamma_d = junction.gamma_d
 
-    def integrand(x: float) -> float:
+    def integrand(x, k):
+        wk = w[k][:, None]
         return (
-            _dynes_scalar(x, gamma_d)
-            * (_fermi(beta * (x - u - w)) + _fermi(beta * (x + u - w)))
-            * (1.0 - _fermi(beta * x))
+            dynes_dos(x, gamma_d)
+            * (_occupation(beta * (x - u - wk)) + _occupation(beta * (x + u - wk)))
+            * _occupation(-beta * x)
         )
 
-    lim = INTEGRATION_HALFWIDTH
-    edges = [-1.0, 1.0, u + w, -u + w, 0.0]
-    points = sorted({p for p in edges if -lim < p < lim})
-    value, _ = quad(
-        integrand,
-        -lim,
-        lim,
-        points=points,
-        epsabs=0.0,
-        epsrel=QUAD_RELTOL,
-        limit=QUAD_LIMIT,
+    knots = [
+        _knots(INTEGRATION_HALFWIDTH + u + abs(wi), (u + wi, -u + wi, 0.0), beta)
+        for wi in w
+    ]
+    values = _gauss_kronrod(
+        integrand, knots, lambda i: f"E = {energies.flat[i]} meV, V = {v} mV"
     )
-    return value
+    if np.isscalar(e):
+        return float(values[0])
+    return values.reshape(energies.shape)
 
 
 def nis_current(v, junction: JunctionSpec):
@@ -224,33 +345,33 @@ def nis_current(v, junction: JunctionSpec):
     Parameters
     ----------
     v : float or array
-        Bias voltage in mV.
+        Bias voltage in mV.  An array is integrated as one batch, with
+        the same values as one at a time.
     junction : JunctionSpec
-    """
-    if not np.isscalar(v):
-        return np.array([nis_current(float(x), junction) for x in np.asarray(v)])
 
+    Raises
+    ------
+    ValueError
+        If v is NaN or infinite.
+    """
+    biases = _finite("bias v", v)
     delta = junction.delta
     beta = delta / (KB_MEV_PER_K * junction.t_n)
-    u = v / delta
+    u = biases.ravel() / delta
     gamma_d = junction.gamma_d
 
-    def integrand(x: float) -> float:
-        return _dynes_scalar(x, gamma_d) * (_fermi(beta * (x - u)) - _fermi(beta * x))
+    def integrand(x, k):
+        return dynes_dos(x, gamma_d) * (
+            _occupation(beta * (x - u[k][:, None])) - _occupation(beta * x)
+        )
 
-    lim = INTEGRATION_HALFWIDTH + abs(u)
-    points = sorted({p for p in (-1.0, 1.0, 0.0, u) if -lim < p < lim})
-    value, _ = quad(
-        integrand,
-        -lim,
-        lim,
-        points=points,
-        epsabs=0.0,
-        epsrel=QUAD_RELTOL,
-        limit=QUAD_LIMIT,
-    )
+    knots = [_knots(INTEGRATION_HALFWIDTH + abs(ui), (0.0, ui), beta) for ui in u]
+    values = _gauss_kronrod(integrand, knots, lambda i: f"V = {biases.flat[i]} mV")
     # integral is in units of Delta; Delta[meV]/R_T[kOhm] = 1e-6 A = 1000 nA
-    return 1000.0 * delta * value / junction.r_t
+    current = 1000.0 * delta * values / junction.r_t
+    if np.isscalar(v):
+        return float(current[0])
+    return current.reshape(biases.shape)
 
 
 def purcell_factor(system: SystemSpec, omega: float) -> float:
@@ -273,12 +394,9 @@ def _spectral_rows(
     the same bias shares these two rows.  Callers pass v = |v|.  The
     cache is bounded so a process sweeping many biases stays small.
     """
-    omegas = transition_frequencies(transmon)
-    rows = np.empty((2, omegas.size))
-    for i, omega in enumerate(omegas):
-        e_phot = H_MEV_PER_GHZ * omega
-        rows[0, i] = tunnel_spectral_fn(+e_phot, v, junction)
-        rows[1, i] = tunnel_spectral_fn(-e_phot, v, junction)
+    e_phot = H_MEV_PER_GHZ * transition_frequencies(transmon)
+    rows = tunnel_spectral_fn(np.concatenate([e_phot, -e_phot]), v, junction)
+    rows = rows.reshape(2, e_phot.size)
     rows.flags.writeable = False
     return rows[0], rows[1]
 

@@ -470,12 +470,12 @@ def correction_matrix(model) -> np.ndarray:
     crossed at 90 degrees, still resolve; ratio 1e8 does not.
     """
     means, covs = np.asarray(model.means), np.asarray(model.covariances)
-    inv = np.linalg.inv(np.linalg.cholesky(covs))
+    inv = _inv(np.linalg.cholesky(covs))
     # blob j in blob i's whitened frame: N(m[i, j], s[i, j])
     m = np.einsum("iab,ijb->ija", inv, means[None] - means[:, None])
     s = inv[:, None] @ covs[None] @ np.swapaxes(inv, 1, 2)[:, None]
-    prec = np.linalg.inv(s)
-    scale = 1.0 / np.sqrt(np.linalg.det(s))
+    prec = _inv(s)
+    scale = 1.0 / np.sqrt(_det(s))
 
     previous, n = np.inf, 64
     while n <= QUADRATURE_MAX_ANGLES:

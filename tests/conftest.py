@@ -25,18 +25,22 @@ def transmon():
 
 @pytest.fixture
 def spectral_calls(monkeypatch):
-    """Arguments of every tunnel_spectral_fn call, from a cleared rate cache.
+    """(e, v, junction) of every energy tunnel_spectral_fn integrates,
+    from a cleared rate cache.
 
-    The cache is cleared again afterwards, so rows computed under the
-    patched function never reach another test.
+    A batched call records one entry per energy.  The cache is cleared
+    again afterwards, so rows computed under the patched function never
+    reach another test.
     """
+    import numpy as np
+
     from qcrsim import qcr
 
     calls = []
     spectral_fn = qcr.tunnel_spectral_fn
 
     def counted(e, v, junction):
-        calls.append((e, v, junction))
+        calls.extend((float(x), v, junction) for x in np.ravel(e))
         return spectral_fn(e, v, junction)
 
     qcr._spectral_rows.cache_clear()

@@ -42,8 +42,9 @@ def spectral(e_mev, v_mv):
     def f(x):
         return dynes(x) * (fermi(beta * (x - u - w)) + fermi(beta * (x + u - w))) * (1 - fermi(beta * x))
 
-    pts = sorted({p for p in (-1, 1, u + w, -u + w, mp.mpf(0)) if -LIM < p < LIM})
-    knots = [-LIM] + list(pts) + [LIM]
+    lim = LIM + u + abs(w)  # LIM beyond the furthest Fermi edge
+    pts = sorted({p for p in (-1, 1, u + w, -u + w, mp.mpf(0)) if -lim < p < lim})
+    knots = [-lim] + list(pts) + [lim]
     return mp.quad(f, knots)
 
 
@@ -64,10 +65,12 @@ if __name__ == "__main__":
     e_ge = H_MEV_PER_GHZ * mp.mpf("4.09")     # g<->e photon at the design point
     e_ef = H_MEV_PER_GHZ * mp.mpf("3.817")    # e<->f photon (anharmonic ladder)
     print("SPECTRAL = {")
-    for e in (e_ge, -e_ge, e_ef):
-        for v in ("0.0", "0.6", "1.2"):
-            val = spectral(e, v)
-            print(f'    ({mp.nstr(e, 17)!r}, {v!r}): "{mp.nstr(val, 17)}",')
+    # the last pin lies beyond 30 Delta - |E|, where a fixed window
+    # would cut the Fermi edge off
+    pins = [(e, v) for e in (e_ge, -e_ge, e_ef) for v in ("0.0", "0.6", "1.2")]
+    for e, v in pins + [(e_ge, "10.0")]:
+        val = spectral(e, v)
+        print(f'    ({mp.nstr(e, 17)!r}, {v!r}): "{mp.nstr(val, 17)}",')
     print("}")
     print("CURRENT = {")
     for v in ("0.05", "0.215", "0.3", "1.0"):

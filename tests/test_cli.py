@@ -397,14 +397,15 @@ class TestPipelines:
         assert "junction.r_t" in capsys.readouterr().err
 
 
-def test_console_script_entry_point(tmp_path):
+def _child_env():
     # The child imports the same qcrsim as this process, installed or not.
     src = str(Path(qcrsim.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
-    env = {
-        **os.environ,
-        "PYTHONPATH": os.pathsep.join(filter(None, [src, path])),
-    }
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, path]))}
+
+
+def test_console_script_entry_point(tmp_path):
+    env = _child_env()
     proc = subprocess.run(
         [
             sys.executable,
@@ -422,3 +423,14 @@ def test_console_script_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert (tmp_path / "rates.csv").exists()
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    """The tunnelling integrals use their own quadrature; loading
+    scipy.integrate would add its import time and memory to every run."""
+    code = "import sys, qcrsim.cli; print('scipy.integrate' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_child_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

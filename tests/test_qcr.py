@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 from dataclasses import replace
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.integrate import quad
 
 from qcrsim import qcr
 from qcrsim.constants import H_MEV_PER_GHZ, H_OVER_KB, KB_MEV_PER_K
@@ -35,6 +38,7 @@ SPECTRAL_ORACLE = {
     (3.817, 0.0): 4.0654627214251962e-4,
     (3.817, 0.6): 2.6837378610388462,
     (3.817, 1.2): 5.5656800713090086,
+    (4.09, 10.0): 46.579568661890349,  # Fermi edge beyond 30 Delta
 }
 
 CURRENT_ORACLE = {  # mV -> nA
@@ -95,11 +99,46 @@ class TestSpectralFunction:
             math.exp(-e / (KB_MEV_PER_K * t_n)), rel=1e-10
         )
 
+    @pytest.mark.parametrize("gamma_d", [1e-5, 1e-4])
+    def test_detailed_balance_cold_sharp_junction(self, gamma_d):
+        """At 10 mK emission is e^-19.6 of absorption at 4.09 GHz, so the
+        Fermi tails must be accurate relative to their size: written as
+        (1 - tanh(y/2))/2 they carry eps-sized absolute noise, and the
+        integrals hit the panel cap."""
+        jn = JunctionSpec(gamma_d=gamma_d, t_n=0.01)
+        e = H_MEV_PER_GHZ * 4.09
+        ratio = tunnel_spectral_fn(-e, 0.0, jn) / tunnel_spectral_fn(e, 0.0, jn)
+        assert ratio == pytest.approx(math.exp(-e / (KB_MEV_PER_K * 0.01)), rel=1e-10)
+
     def test_monotone_in_energy(self, junction):
         energies = np.linspace(-0.05, 0.05, 21)
         for v in (0.0, 0.6, 1.2):
             f = [tunnel_spectral_fn(e, v, junction) for e in energies]
             assert np.all(np.diff(f) > 0)
+
+    def test_ohmic_slope_at_large_bias(self, junction):
+        """Far beyond the gap each extra mV adds (1 mV)/Delta to F: the
+        window follows the Fermi edge instead of cutting it off."""
+        e = H_MEV_PER_GHZ * 4.09
+        step = tunnel_spectral_fn(e, 10.0, junction) - tunnel_spectral_fn(
+            e, 9.0, junction
+        )
+        assert step == pytest.approx(1.0 / junction.delta, rel=1e-3)
+
+    def test_array_of_energies(self, junction):
+        e = H_MEV_PER_GHZ * np.array([[4.09, -4.09], [3.817, 0.0]])
+        out = tunnel_spectral_fn(e, 0.6, junction)
+        assert out.shape == (2, 2)
+        assert isinstance(tunnel_spectral_fn(float(e[0, 0]), 0.6, junction), float)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, junction, bad):
+        with pytest.raises(ValueError, match=f"photon energy e .*{bad}"):
+            tunnel_spectral_fn(bad, 0.6, junction)
+        with pytest.raises(ValueError, match=f"photon energy e .*{bad}"):
+            tunnel_spectral_fn(np.array([0.01, bad]), 0.6, junction)
+        with pytest.raises(ValueError, match=f"bias v .*{bad}"):
+            tunnel_spectral_fn(0.01, bad, junction)
 
 
 class TestNisCurrent:
@@ -133,6 +172,146 @@ class TestNisCurrent:
         assert out.shape == (2,)
         assert_allclose(
             out, [CURRENT_ORACLE[0.05], CURRENT_ORACLE[0.3]], rtol=1e-9
+        )
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, junction, bad):
+        with pytest.raises(ValueError, match=f"bias v .*{bad}"):
+            nis_current(bad, junction)
+        with pytest.raises(ValueError, match=f"bias v .*{bad}"):
+            nis_current([0.1, bad], junction)
+
+
+def _fermi_scalar(y):
+    if y > 700.0:
+        return 0.0
+    if y < -700.0:
+        return 1.0
+    return 1.0 / (1.0 + math.exp(y))
+
+
+def _dynes_scalar(x, gamma_d):
+    z = complex(x, gamma_d)
+    return abs((z / (z * z - 1.0) ** 0.5).real)
+
+
+def quad_spectral_fn(e, v, junction):
+    """F(E, V) by scipy.integrate.quad on a scalar integrand: the
+    reference the batched Gauss-Kronrod routine replaced, with the
+    window reaching INTEGRATION_HALFWIDTH beyond both Fermi edges.
+
+    quad also gets breakpoints 36 kT either side of each Fermi edge:
+    without them it misses thermal tails at t_n = 0.03 K by up to 1.7e-9
+    relative (checked against mpmath), even at epsrel = 1e-12.  Points
+    closer than 1e-12 are merged, since quad mis-integrates panels of
+    length ~1e-15 (V = 2e-16 mV gave an error of 8e-7).  Near sharp gap
+    edges quad may warn of roundoff; its value still agrees to 1e-9.
+    """
+    delta = junction.delta
+    beta = delta / (KB_MEV_PER_K * junction.t_n)
+    u, w = abs(v) / delta, e / delta
+
+    def integrand(x):
+        return (
+            _dynes_scalar(x, junction.gamma_d)
+            * (_fermi_scalar(beta * (x - u - w)) + _fermi_scalar(beta * (x + u - w)))
+            * (1.0 - _fermi_scalar(beta * x))
+        )
+
+    lim = qcr.INTEGRATION_HALFWIDTH + u + abs(w)
+    edges = (u + w, -u + w, 0.0)
+    points = {-1.0, 1.0, *edges} | {p + s * 36.0 / beta for p in edges for s in (-1, 1)}
+    points = {round(p, 12) for p in points}
+    value, _ = quad(
+        integrand,
+        -lim,
+        lim,
+        points=sorted(p for p in points if -lim < p < lim),
+        epsabs=0.0,
+        epsrel=1e-10,
+        limit=400,
+    )
+    return value
+
+
+class TestGaussKronrod:
+    def test_rules_exact_on_monomials(self):
+        # K15 integrates x^n exactly up to n = 22, G7 up to n = 13
+        for n in range(23):
+            exact = 2.0 / (n + 1) if n % 2 == 0 else 0.0
+            kronrod = (qcr._GK_WK * qcr._GK_X**n).sum()
+            assert kronrod == pytest.approx(exact, abs=1e-15), n
+            if n <= 13:
+                gauss = (qcr._GK_WG * qcr._GK_X**n).sum()
+                assert gauss == pytest.approx(exact, abs=1e-15), n
+        assert (qcr._GK_WG * qcr._GK_X**14).sum() != pytest.approx(2 / 15, abs=1e-6)
+
+    def test_spectral_batch_equals_alone(self):
+        jn = JunctionSpec(gamma_d=1e-4, t_n=0.03)
+        e = H_MEV_PER_GHZ * np.array([4.09, -4.09, 8.0, -1.0, 3.817, 0.0])
+        for v in (0.0, 0.2, 0.23, 1.2, 10.0):
+            batch = tunnel_spectral_fn(e, v, jn)
+            alone = [tunnel_spectral_fn(float(x), v, jn) for x in e]
+            assert np.array_equal(batch, alone)
+            assert np.array_equal(batch[::-1], tunnel_spectral_fn(e[::-1], v, jn))
+
+    def test_current_batch_equals_alone(self, junction):
+        v = np.linspace(-1.5, 1.5, 31)
+        batch = nis_current(v, junction)
+        assert np.array_equal(batch, [nis_current(float(x), junction) for x in v])
+
+    def test_panel_cap_raises_before_evaluating(self, monkeypatch, junction):
+        def no_evaluation(*args):
+            raise AssertionError("integrand evaluated past the panel cap")
+
+        monkeypatch.setattr(qcr, "QUAD_LIMIT", 2)
+        monkeypatch.setattr(qcr, "dynes_dos", no_evaluation)
+        with pytest.raises(RuntimeError, match=r"E = .* meV, V = 0\.6 mV"):
+            tunnel_spectral_fn(H_MEV_PER_GHZ * np.full(1000, 4.09), 0.6, junction)
+        with pytest.raises(RuntimeError, match=r"V = 0\.3 mV"):
+            nis_current(0.3, junction)
+
+    def test_panel_cap_stops_refinement(self, monkeypatch, junction):
+        # the starting panels fit, the refinement 0.3 mV needs does not
+        monkeypatch.setattr(qcr, "QUAD_LIMIT", 12)
+        with pytest.raises(RuntimeError, match="V = 0.3 mV needs more than 12"):
+            nis_current(0.3, junction)
+
+    @pytest.mark.parametrize(
+        ("t_n", "gamma_d", "f_ghz", "v"),
+        [
+            # a 1/(36 kT)-wide Fermi step ending a 30 Delta panel: without
+            # the starting points 36 kT either side it was missed, 6e-4 off
+            (0.01, 2.3e-3, 4.09, 1.0),
+            (0.01, 2.3e-3, 4.09, 3.0),
+            # a Fermi edge just inside a sharp gap edge: bisecting every
+            # panel whose error exceeds its length share of the tolerance
+            # split roundoff noise there until the panel cap
+            (0.03, 1e-5, -1.0, 0.22),
+            (0.03, 1e-5, 4.09, 0.2),
+            (0.03, 1e-4, -4.09, 0.23),
+        ],
+    )
+    def test_hard_inputs_agree_with_quad(self, t_n, gamma_d, f_ghz, v):
+        jn = JunctionSpec(gamma_d=gamma_d, t_n=t_n)
+        e = H_MEV_PER_GHZ * f_ghz
+        assert tunnel_spectral_fn(e, v, jn) == pytest.approx(
+            quad_spectral_fn(e, v, jn), rel=1e-9
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        t_n=st.floats(0.03, 0.3),
+        gamma_d=st.floats(1e-4, 0.1),
+        f_ghz=st.floats(1.0, 8.0),
+        sign=st.sampled_from([1.0, -1.0]),
+        v=st.floats(0.0, 3.0),
+    )
+    def test_agrees_with_quad(self, t_n, gamma_d, f_ghz, sign, v):
+        jn = JunctionSpec(gamma_d=gamma_d, t_n=t_n)
+        e = sign * H_MEV_PER_GHZ * f_ghz
+        assert tunnel_spectral_fn(e, v, jn) == pytest.approx(
+            quad_spectral_fn(e, v, jn), rel=1e-9
         )
 
 
