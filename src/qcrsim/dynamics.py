@@ -14,7 +14,7 @@ dp/dt = Q p, and each coherence decays on its own,
 
 with G_m the total rate out of level m.  The rates are constant over
 each half-period of the bias pulse, so every such stretch is solved
-exactly: expm(Q t) on the populations and the scalar exponentials on
+exactly: exp(Q t) on the populations and the scalar exponentials on
 the coherences.  The time step only sets the sampling grid.
 Dissipators act directly on the transmon ladder; the resonators enter
 through the rate model only.
@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import thermometry
 from .constants import H_OVER_KB
@@ -39,6 +38,7 @@ HERM_TOL = 1e-10
 EIG_TOL = 1e-9
 ABORT_TRACE_DRIFT = 1e-6
 ABORT_NEG_EIG = -1e-6
+EXPM_THETA = 4.0  # norm of the scaled uniformised matrix in _expm_metzler
 
 
 class IntegratorError(RuntimeError):
@@ -204,6 +204,41 @@ def lindblad_generator(hamiltonian: np.ndarray, rates: RateTable) -> np.ndarray:
     return gen
 
 
+def _expm_metzler(a: np.ndarray) -> np.ndarray:
+    """exp(a) for a square matrix with non-negative off-diagonal entries.
+
+    Uniformisation with scaling and squaring: with mu = max(-diag a),
+    c = a + mu I is entrywise >= 0 and exp(a) = e^{-mu} exp(c).  The
+    Taylor series of exp(c / 2^s), ||c / 2^s||_1 <= EXPM_THETA, is then
+    squared s times.  Every term and every product is non-negative, so
+    nothing cancels and the result is entrywise >= 0; for a rate matrix
+    (columns summing to zero) its columns sum to 1 up to rounding.
+    """
+    eye = np.eye(a.shape[0])
+    mu = max(0.0, -float(a.diagonal().min()))
+    c = a + mu * eye
+    norm = float(c.sum(axis=0).max())
+    s = max(0, math.frexp(norm / EXPM_THETA)[1])
+    scale = 0.5**s
+    c *= scale
+    # Horner over the terms down to the first whose bound x^K / K! on
+    # ||c^K / K!||_1 is below 1e-17
+    x = norm * scale
+    n_terms, bound = 1, x
+    while bound > 1e-17:
+        n_terms += 1
+        bound *= x / n_terms
+    out = eye
+    for k in range(n_terms, 0, -1):
+        out = c.dot(out)
+        out *= 1.0 / k
+        out += eye
+    out *= math.exp(-mu * scale)
+    for _ in range(s):
+        out = out.dot(out)
+    return out
+
+
 def split_generator(generator: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Split a ladder generator into its Pauli block and coherence rates.
 
@@ -283,7 +318,8 @@ def _segment_ids(pulse: BiasPulse, dt: float, n_steps: int):
     volts[:pulse_steps] = np.where((idx // half_steps) % 2 == 0, v_plus, v_minus)
 
     magnitudes = np.round(np.abs(volts), 12)
-    distinct = np.unique(magnitudes)
+    ordered = np.sort(magnitudes)
+    distinct = ordered[np.diff(ordered, prepend=-1.0) != 0]
     seg_ids = np.searchsorted(distinct, magnitudes)
     return seg_ids.astype(np.int64), distinct
 
@@ -329,10 +365,11 @@ def propagate(
         raise IntegratorError("non-finite generator entries")
     blocks = [split_generator(g) for g in gens]
 
-    cuts = np.union1d(
-        np.flatnonzero(np.diff(seg_ids)) + 1,
-        np.arange(0, n_steps + 1, sample_every),
-    ).tolist()
+    # cut the step grid at every sample and every segment change
+    cut = np.zeros(n_steps + 1, dtype=bool)
+    cut[::sample_every] = True
+    cut[1:-1] |= np.diff(seg_ids) != 0
+    cuts = np.flatnonzero(cut).tolist()
     rhos = np.empty((n_steps // sample_every + 1, d, d), dtype=complex)
     rhos[0] = rho0.matrix
     rho = rhos[0]
@@ -343,7 +380,7 @@ def propagate(
         if key not in propagators:
             q, lam = blocks[key[0]]
             tau = key[1] * dt
-            propagators[key] = (expm(q * tau), np.exp(lam * tau))
+            propagators[key] = (_expm_metzler(q * tau), np.exp(lam * tau))
         pauli, decay = propagators[key]
         populations = pauli @ rho.diagonal()
         rho = rho * decay

@@ -82,14 +82,14 @@ class JunctionSpec:
     t_n: float = 0.1
 
     def __post_init__(self):
-        if self.delta <= 0:
-            raise ValueError(f"delta must be positive, got {self.delta}")
+        if not 0.0 < self.delta < math.inf:
+            raise ValueError(f"delta must be positive and finite, got {self.delta}")
         if not 0.0 < self.gamma_d < 1.0:
             raise ValueError(f"gamma_d must lie in (0, 1), got {self.gamma_d}")
-        if self.r_t <= 0:
-            raise ValueError(f"r_t must be positive, got {self.r_t}")
-        if self.t_n <= 0:
-            raise ValueError(f"t_n must be positive, got {self.t_n}")
+        if not 0.0 < self.r_t < math.inf:
+            raise ValueError(f"r_t must be positive and finite, got {self.r_t}")
+        if not 0.0 < self.t_n < math.inf:
+            raise ValueError(f"t_n must be positive and finite, got {self.t_n}")
 
 
 @dataclass(frozen=True)
@@ -105,8 +105,10 @@ class CouplingSpec:
     purcell_filter: bool = True
 
     def __post_init__(self):
-        if self.kappa_eff <= 0:
-            raise ValueError(f"kappa_eff must be positive, got {self.kappa_eff}")
+        if not 0.0 < self.kappa_eff < math.inf:
+            raise ValueError(
+                f"kappa_eff must be positive and finite, got {self.kappa_eff}"
+            )
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.special import erf
 
 from .seeding import named_rng
 
@@ -229,6 +227,44 @@ def _e_step(shots, weights, means, covs):
     return joint / total, top + np.log(total)
 
 
+def _min_cost_matching(cost) -> np.ndarray:
+    """Column matched to each row of a square cost matrix, minimising
+    the total cost (Hungarian algorithm with potentials, O(k^3))."""
+    cost = np.asarray(cost, dtype=float)
+    k = cost.shape[0]
+    # index 0 is a virtual column that holds the row being inserted;
+    # row_of[j] is the 1-based row matched to column j, 0 when free
+    u, v = np.zeros(k + 1), np.zeros(k + 1)
+    row_of = np.zeros(k + 1, dtype=int)
+    for i in range(1, k + 1):
+        row_of[0] = i
+        col = 0
+        slack = np.full(k + 1, math.inf)
+        came_from = np.zeros(k + 1, dtype=int)
+        used = np.zeros(k + 1, dtype=bool)
+        while row_of[col]:
+            used[col] = True
+            r = row_of[col]
+            reduced = cost[r - 1] - u[r] - v[1:]
+            better = ~used[1:] & (reduced < slack[1:])
+            slack[1:][better] = reduced[better]
+            came_from[1:][better] = col
+            free = np.flatnonzero(~used[1:]) + 1
+            nxt = free[np.argmin(slack[free])]
+            delta = slack[nxt]
+            u[row_of[used]] += delta
+            v[used] -= delta
+            slack[~used] -= delta
+            col = nxt
+        while col:  # flip the augmenting path back to the virtual column
+            prev = came_from[col]
+            row_of[col] = row_of[prev]
+            col = prev
+    match = np.empty(k, dtype=int)
+    match[row_of[1:] - 1] = np.arange(k)
+    return match
+
+
 def _kmeanspp_init(shots, k, rng):
     # D^2-weighted center choice, then one nearest-center partition for
     # the starting covariances.
@@ -405,8 +441,7 @@ def fit_gmm(
     if init is not None:
         # match fitted components back to the calibration labels
         dist = np.linalg.norm(means[:, None, :] - init.means[None], axis=2)
-        rows, cols = linear_sum_assignment(dist)
-        labels = tuple(init.labels[c] for c in cols[np.argsort(rows)])
+        labels = tuple(init.labels[c] for c in _min_cost_matching(dist))
     else:
         order = np.argsort(-weights)
         rank = np.empty(k, dtype=int)
@@ -436,13 +471,19 @@ class PopulationEstimate:
     condition_number: float
 
 
-def _ray_mean(n, m, prec) -> np.ndarray:
-    # Trapezoid rule on n equispaced angles for the angular mean of
+def _erf(x) -> np.ndarray:
+    # math.erf elementwise
+    values = map(math.erf, x.ravel().tolist())
+    return np.fromiter(values, float, x.size).reshape(x.shape)
+
+
+def _ray_mean(n, m, prec, offset=0.0) -> np.ndarray:
+    # Mean over the n equispaced angles 2 pi (l + offset) / n of
     #   R = int_0^1 r exp(-(r u - m)^T prec (r u - m) / 2) dr,  u = (cos, sin),
     # for every (i, j).  With a = u.prec.u, b = u.prec.m, c = m.prec.m the
     # exponent is (a r^2 - 2 b r + c) / 2; completing the square in r
     # splits R into an exp term and an erf term.
-    theta = 2.0 * math.pi * np.arange(n) / n
+    theta = 2.0 * math.pi * (np.arange(n) + offset) / n
     u = np.column_stack([np.cos(theta), np.sin(theta)])
     a = np.einsum("na,ijab,nb->ijn", u, prec, u)
     b = np.einsum("na,ijab,ijb->ijn", u, prec, m)
@@ -451,7 +492,7 @@ def _ray_mean(n, m, prec) -> np.ndarray:
     r = (np.exp(-0.5 * c) - np.exp(-0.5 * (a - 2.0 * b + c))) / a + (
         b / a * math.sqrt(math.pi) / q
         * np.exp(0.5 * (b * b / a - c))
-        * (erf((a - b) / q) + erf(b / q))
+        * (_erf((a - b) / q) + _erf(b / q))
     )
     return r.mean(axis=-1)
 
@@ -477,12 +518,14 @@ def correction_matrix(model) -> np.ndarray:
     prec = _inv(s)
     scale = 1.0 / np.sqrt(_det(s))
 
-    previous, n = np.inf, 64
-    while n <= QUADRATURE_MAX_ANGLES:
-        estimate = scale * _ray_mean(n, m, prec)
-        if np.abs(estimate - previous).max() <= QUADRATURE_TOL:
-            return estimate
-        previous, n = estimate, 2 * n
+    # the 2n-angle trapezoid sum reuses the n-angle one: it is the mean
+    # of that and the midpoint sum at the n angles offset by half a step
+    estimate, n = scale * _ray_mean(64, m, prec), 64
+    while 2 * n <= QUADRATURE_MAX_ANGLES:
+        refined = 0.5 * (estimate + scale * _ray_mean(n, m, prec, 0.5))
+        if np.abs(refined - estimate).max() <= QUADRATURE_TOL:
+            return refined
+        estimate, n = refined, 2 * n
     raise ValueError(
         f"confusion matrix not resolved by {QUADRATURE_MAX_ANGLES} angles: "
         "blob covariances too anisotropic"

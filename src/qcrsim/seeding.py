@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 
-import numpy as np
+from numpy.random import Generator, SeedSequence, default_rng
 
 
 def stream_key(name: str) -> tuple[int, ...]:
@@ -22,7 +22,7 @@ def stream_key(name: str) -> tuple[int, ...]:
     )
 
 
-def named_rng(root_seed: int, name: str, *indices: int) -> np.random.Generator:
+def named_rng(root_seed: int, name: str, *indices: int) -> Generator:
     """Generator for the sub-stream ``name`` (plus optional chunk indices)."""
     entropy = (int(root_seed),) + stream_key(name) + tuple(int(i) for i in indices)
-    return np.random.default_rng(np.random.SeedSequence(entropy))
+    return default_rng(SeedSequence(entropy))

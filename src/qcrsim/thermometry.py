@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .constants import H_OVER_KB
 from .qcr import JunctionSpec
@@ -22,12 +21,14 @@ T_BOUNDS = (1e-3, 5.0)  # K; search range of the Gibbs fit
 GIBBS_XTOL = 1e-14  # relative Newton step in 1/T that ends the Gibbs fit
 GIBBS_NOISE = 1e-9  # Newton steps below this that stop halving are rounding
 GIBBS_MAX_ITER = 100  # far above the ~57 halvings of the widest bracket
-TAU_STARTS = (25.0, 50.0, 100.0, 200.0, 400.0)  # ns; saturation multistart
+TAU_RANGE = (1e-3, 1e3)  # saturation tau searched, in units of the time span
+TAU_GRID_PER_DECADE = 8  # coarse log-tau grid that brackets the minimum
+TAU_XTOL = 1e-13  # log-tau bracket width that ends the saturation fit
 V_MIN_DEFAULT = JunctionSpec().delta  # mV; gap edge, onset of the heating slope
 
 
 class SaturationFitError(RuntimeError):
-    """No saturation-fit start converged."""
+    """The profiled saturation cost has no resolvable minimum."""
 
 
 def gibbs_populations(
@@ -191,7 +192,15 @@ def fit_gibbs(p_measured, spec: TransmonSpec) -> GibbsFit:
 
 @dataclass(frozen=True)
 class SaturationFit:
-    """Exponential saturation T(t) = t0 + a (1 - exp(-t/tau))."""
+    """Exponential saturation T(t) = t0 + a (1 - exp(-t/tau)).
+
+    degenerate=True marks data that do not fix tau: constant data
+    (a = 0), or a profiled minimum at an end of TAU_RANGE (tau = NaN).
+    At the upper end the trace does not saturate in its window and only
+    a/tau is determined: a is NaN too, and t0 is the intercept of the
+    straight-line fit.  At the lower end the trace is a step after the
+    first sample: t0 is the level there and a the step.
+    """
 
     t0: float  # K
     amplitude: float  # K
@@ -203,12 +212,26 @@ class SaturationFit:
         return self.t0 + self.amplitude * (1.0 - np.exp(-np.asarray(t) / self.tau))
 
 
+def _linear_fit(y, basis):
+    # y ~ c0 + c1 * basis for each row of basis, by the centred normal
+    # equations: returns c0, c1 and the residual vectors
+    mean = basis.mean(axis=-1)
+    centred = basis - mean[..., None]
+    yc = y - y.mean()
+    c1 = (centred @ yc) / np.einsum("...i,...i->...", centred, centred)
+    return y.mean() - c1 * mean, c1, yc - c1[..., None] * centred
+
+
 def fit_saturation(times, temps) -> SaturationFit:
     """Fit T(t) = t0 + a(1 - e^{-t/tau}) to a temperature time series.
 
-    Multi-start nonlinear least squares over tau in TAU_STARTS; the run
-    with the smallest converged cost wins.  Constant data is flagged
-    degenerate (tau unidentifiable) instead of fitted.
+    Variable projection: for fixed tau the model is linear in (t0, a),
+    so the least-squares cost is minimised over log tau alone.  A grid
+    over TAU_RANGE times the sampled time span brackets the minimum;
+    Illinois regula falsi then finds the root of the cost's derivative,
+    which is closed form because the linear coefficients are optimal.
+    Constant data and a minimum at an end of the range are flagged
+    degenerate (see SaturationFit) instead of fitted.
     """
     t = np.asarray(times, dtype=float)
     y = np.asarray(temps, dtype=float)
@@ -216,8 +239,8 @@ def fit_saturation(times, temps) -> SaturationFit:
         raise ValueError("times and temps must be 1-d arrays of equal length")
     if t.size < 4:
         raise ValueError(f"need at least 4 samples, got {t.size}")
-    if not np.all(np.isfinite(y)):
-        raise ValueError("temperatures must be finite")
+    if not (np.all(np.isfinite(y)) and np.all(np.isfinite(t))):
+        raise ValueError("times and temperatures must be finite")
 
     spread = float(np.ptp(y))
     if spread < 1e-12:
@@ -225,39 +248,68 @@ def fit_saturation(times, temps) -> SaturationFit:
             t0=float(y.mean()), amplitude=0.0, tau=math.nan, residual=0.0,
             degenerate=True,
         )
+    span = float(np.ptp(t))
+    if span <= 0:
+        raise ValueError("times must not all be equal")
 
-    def resid(params):
-        t0, a, tau = params
-        return t0 + a * (1.0 - np.exp(-t / tau)) - y
+    # basis exp(-x / tau), x = t - min(t): c0 + c1 exp(-x / tau) is the
+    # model with a = -c1 exp(min(t) / tau) and t0 = c0 - a
+    start = float(t.min())
+    x = t - start
 
-    t0_guess = max(float(y[np.argmin(t)]), 1e-3)
-    a_guess = float(y[np.argmax(t)] - y[np.argmin(t)])
-    lower = [1e-9, -np.inf, 1e-9]
-    upper = [np.inf, np.inf, np.inf]
+    def slope(log_tau):
+        # sign of d cost / d log tau = -2 c1 sum(r x exp(-x / tau)) / tau
+        e = np.exp(-x / math.exp(log_tau))
+        _, c1, r = _linear_fit(y, e)
+        return float(-c1 * (r @ (x * e)))
 
-    best = None
-    best_cost = math.inf
-    for tau0 in TAU_STARTS:
-        sol = least_squares(
-            resid,
-            x0=[t0_guess, a_guess if a_guess != 0 else spread, tau0],
-            bounds=(lower, upper),
-            xtol=1e-14,
-            ftol=1e-14,
-            gtol=1e-14,
+    lo, hi = (math.log(f * span) for f in TAU_RANGE)
+    n_grid = round((hi - lo) / math.log(10.0) * TAU_GRID_PER_DECADE) + 1
+    grid = np.linspace(lo, hi, n_grid)
+    basis = np.exp(-x / np.exp(grid)[:, None])
+    _, _, resid = _linear_fit(y, basis)
+    i = int(np.argmin(np.einsum("ij,ij->i", resid, resid)))
+
+    if i == grid.size - 1:
+        t0, _, r = _linear_fit(y, t)
+        return SaturationFit(
+            t0=float(t0), amplitude=math.nan, tau=math.nan,
+            residual=float(r @ r), degenerate=True,
         )
-        if sol.status > 0 and np.isfinite(sol.cost) and sol.cost < best_cost:
-            best = sol
-            best_cost = sol.cost
+    if i == 0:
+        c0, c1, r = _linear_fit(y, basis[0])
+        return SaturationFit(
+            t0=float(c0 + c1), amplitude=float(-c1), tau=math.nan,
+            residual=float(r @ r), degenerate=True,
+        )
 
-    if best is None:
-        raise SaturationFitError("no saturation-fit start converged")
+    a, b = grid[i - 1], grid[i + 1]
+    fa, fb = slope(a), slope(b)
+    if not fa < 0 < fb:
+        raise SaturationFitError(
+            f"no minimum of the profiled cost between tau = {math.exp(a):.3g} "
+            f"and {math.exp(b):.3g}"
+        )
+    for _ in range(100):
+        m = b - fb * (b - a) / (fb - fa)
+        fm = slope(m)
+        if (fm > 0) == (fb > 0):
+            fa *= 0.5  # Illinois: halve the kept end so it cannot stall
+        else:
+            a, fa = b, fb
+        b, fb = m, fm
+        if fm == 0 or abs(b - a) <= TAU_XTOL * max(1.0, abs(b)):
+            break
+    else:
+        raise SaturationFitError("saturation fit did not converge")
 
-    t0, a, tau = (float(v) for v in best.x)
-    degenerate = abs(a) < 1e-6 * max(spread, 1e-3)
+    tau = math.exp(b)
+    c0, c1, r = _linear_fit(y, np.exp(-x / tau))
+    amplitude = -float(c1) * math.exp(start / tau)
+    degenerate = abs(amplitude) < 1e-6 * max(spread, 1e-3)
     return SaturationFit(
-        t0=t0, amplitude=a, tau=tau, residual=2.0 * float(best.cost),
-        degenerate=degenerate,
+        t0=float(c0) - amplitude, amplitude=amplitude, tau=tau,
+        residual=float(r @ r), degenerate=degenerate,
     )
 
 

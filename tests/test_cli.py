@@ -262,13 +262,12 @@ class TestFitAndThermo:
         summary = dict(c.split(" = ") for c in comments)
         assert summary["slope_K_per_mV"].startswith("nan  # fewer than 3")
 
-    def test_thermo_saturation_summary(self, tmp_path):
+    @staticmethod
+    def _saturation_summary(tmp_path, t_axis, temps):
         from qcrsim.system import TransmonSpec
         from qcrsim.thermometry import gibbs_populations, normalize_leading
 
         spec = TransmonSpec()
-        t_axis = np.linspace(0.0, 600.0, 13)
-        temps = 0.110 + 0.36 * (1.0 - np.exp(-t_axis / 109.0))
         lines = ["t_ns,p0,p1,p2,p3"]
         for t, temp in zip(t_axis, temps):
             p = normalize_leading(gibbs_populations(temp, spec), 4)
@@ -280,11 +279,23 @@ class TestFitAndThermo:
             ["thermo", "--populations", str(src), "--outdir", str(tmp_path)]
         ) == 0
         _, rows, comments = read_rows(tmp_path / "thermo.csv")
-        assert rows.shape[0] == 13
-        summary = dict(c.split(" = ") for c in comments)
+        assert rows.shape[0] == t_axis.size
+        return dict(c.split(" = ") for c in comments)
+
+    def test_thermo_saturation_summary(self, tmp_path):
+        t_axis = np.linspace(0.0, 600.0, 13)
+        temps = 0.110 + 0.36 * (1.0 - np.exp(-t_axis / 109.0))
+        summary = self._saturation_summary(tmp_path, t_axis, temps)
         assert float(summary["tau_ns"]) == pytest.approx(109.0, rel=0.01)
         assert float(summary["t0_K"]) == pytest.approx(0.110, abs=0.002)
         assert summary["saturated_within_window"] == "true"
+
+    def test_thermo_straight_line_does_not_saturate(self, tmp_path):
+        t_axis = np.linspace(0.0, 600.0, 13)
+        summary = self._saturation_summary(tmp_path, t_axis, 0.110 + 0.004 * t_axis)
+        assert summary["tau_ns"] == "nan" and summary["a_K"] == "nan"
+        assert float(summary["t0_K"]) == pytest.approx(0.110, abs=0.002)
+        assert summary["saturated_within_window"] == "false"
 
 
 class TestOtto:
@@ -434,3 +445,23 @@ def test_cli_import_leaves_scipy_integrate_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_presets_run_without_scipy(tmp_path):
+    """The package imports numpy and the standard library only: no scipy
+    module is loaded by importing the CLI or by running presets."""
+    code = (
+        "import sys, qcrsim.cli\n"
+        "for preset in ('full', 'otto-demo'):\n"
+        "    out = sys.argv[1] + '/' + preset\n"
+        "    assert qcrsim.cli.main(['pipeline', preset, '--outdir', out]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
 from qcrsim.dynamics import (
+    _expm_metzler,
     BiasPulse,
     DensityMatrix,
     IntegratorError,
@@ -482,6 +483,41 @@ class TestPauliBlock:
         p = np.linalg.svd(q)[2][-1]
         p /= p.sum()
         assert_allclose(p[1:] / p[:-1], gamma_up / gamma_down, rtol=1e-9)
+
+
+def random_rate_matrix(rng, d, norm):
+    # birth-death generator with rates spread over six decades, scaled to
+    # the given 1-norm
+    down = rng.uniform(0.0, 1.0, d - 1) * 10.0 ** rng.uniform(-3, 3, d - 1)
+    up = rng.uniform(0.0, 1.0, d - 1) * down
+    q = np.diag(down, 1) + np.diag(up, -1)
+    q -= np.diag(q.sum(axis=0))
+    return q * (norm / np.abs(q).sum(axis=0).max())
+
+
+class TestExpmMetzler:
+    @pytest.mark.parametrize("log_norm", [-8, -5, -2, 0, 1, 2, 3])
+    def test_matches_scipy_on_rate_matrices(self, log_norm):
+        rng = np.random.default_rng(log_norm + 100)
+        for _ in range(40):
+            q = random_rate_matrix(rng, int(rng.integers(2, 8)), 10.0**log_norm)
+            got = _expm_metzler(q)
+            assert np.abs(got - expm(q)).max() <= 1e-11
+            assert (got >= 0.0).all()
+            assert np.abs(got.sum(axis=0) - 1.0).max() <= 1e-13
+
+    def test_general_metzler_matrix(self):
+        rng = np.random.default_rng(5)
+        for _ in range(40):
+            a = rng.uniform(0.0, 3.0, (5, 5))
+            np.fill_diagonal(a, rng.uniform(-6.0, 2.0, 5))
+            want = expm(a)
+            got = _expm_metzler(a)
+            assert (got >= 0.0).all()
+            assert_allclose(got, want, rtol=1e-12, atol=1e-14 * want.max())
+
+    def test_zero_matrix_gives_identity(self):
+        assert_allclose(_expm_metzler(np.zeros((4, 4))), np.eye(4), atol=0.0)
 
 
 class TestSteadyState:

@@ -335,6 +335,17 @@ class TestJunctionValidation:
         with pytest.raises(ValueError):
             CouplingSpec(kappa_eff=0.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["delta", "gamma_d", "r_t", "t_n"])
+    def test_rejects_non_finite(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            JunctionSpec(**{name: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_coupling_rejects_non_finite_kappa(self, value):
+        with pytest.raises(ValueError, match="kappa_eff"):
+            CouplingSpec(kappa_eff=value)
+
 
 def test_purcell_factor_value(system):
     g1 = system.reset_resonator.g

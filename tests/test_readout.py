@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 
@@ -254,6 +255,35 @@ class TestFitGmm:
         spike = np.tile([[9.0, 9.0]], (5_000, 1))
         with pytest.raises(CovarianceCollapseError):
             fit_gmm(np.vstack([good, spike]), seed=1)
+
+
+class TestMinCostMatching:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+    def test_agrees_with_brute_force(self, k):
+        rng = np.random.default_rng(k)
+        for trial in range(60):
+            cost = rng.normal(size=(k, k)) * 10.0 ** rng.uniform(-3, 3)
+            if trial % 2:
+                cost = np.round(cost / np.abs(cost).max() * 3)  # many ties
+            match = readout._min_cost_matching(cost)
+            assert sorted(match.tolist()) == list(range(k))
+            best = min(
+                cost[np.arange(k), list(perm)].sum()
+                for perm in itertools.permutations(range(k))
+            )
+            got = cost[np.arange(k), match].sum()
+            assert got == pytest.approx(best, rel=1e-12, abs=1e-12)
+
+
+def test_erf_is_math_erf_elementwise():
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(3, 4, 50)) * 10.0 ** rng.uniform(-12, 1, (3, 4, 50))
+    x[0, 0, :3] = [0.0, -0.0, 40.0]
+    got = readout._erf(x)
+    assert got.shape == x.shape and got.dtype == float
+    assert got.tolist() == [
+        [[math.erf(v) for v in row] for row in plane] for plane in x.tolist()
+    ]
 
 
 def anisotropic_model():

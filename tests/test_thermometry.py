@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
-from scipy.optimize import minimize_scalar
+from scipy.optimize import least_squares, minimize_scalar
 
 from qcrsim.constants import H_OVER_KB
 from qcrsim.system import TransmonSpec, transmon_energies
@@ -219,6 +219,24 @@ class TestFitGibbs:
             fit_gibbs(np.zeros(4), transmon)
 
 
+def least_squares_saturation(t, y):
+    """Reference fit: bounded nonlinear least squares over (t0, a, tau),
+    multi-started in tau, the best converged run kept."""
+    best = None
+    for tau0 in (25.0, 50.0, 100.0, 200.0, 400.0):
+        sol = least_squares(
+            lambda p: p[0] + p[1] * (1.0 - np.exp(-t / p[2])) - y,
+            x0=[max(y[0], 1e-3), y[-1] - y[0], tau0],
+            bounds=([1e-9, -np.inf, 1e-9], [np.inf, np.inf, np.inf]),
+            xtol=1e-14,
+            ftol=1e-14,
+            gtol=1e-14,
+        )
+        if sol.status > 0 and (best is None or sol.cost < best.cost):
+            best = sol
+    return best
+
+
 class TestFitSaturation:
     @pytest.mark.parametrize("tau", [185.0, 80.0, 109.0])
     def test_noiseless_round_trip(self, tau):
@@ -247,6 +265,47 @@ class TestFitSaturation:
         fit = fit_saturation(t, y + rng.normal(0.0, 0.002, t.size))
         assert fit.tau == pytest.approx(109.0, rel=0.10)
         assert fit.amplitude == pytest.approx(0.36, rel=0.05)
+
+    @pytest.mark.parametrize("tau", [40.0, 109.0, 185.0, 300.0])
+    @pytest.mark.parametrize("n", [13, 61])
+    def test_agrees_with_least_squares(self, tau, n):
+        rng = np.random.default_rng(int(tau) + n)
+        t = np.linspace(0.0, 600.0, n)
+        y = 0.110 + 0.36 * (1.0 - np.exp(-t / tau)) + rng.normal(0.0, 0.003, n)
+        fit = fit_saturation(t, y)
+        ref = least_squares_saturation(t, y)
+        assert not fit.degenerate
+        assert_allclose([fit.t0, fit.amplitude, fit.tau], ref.x, rtol=1e-6)
+        assert fit.residual == pytest.approx(2.0 * ref.cost, rel=1e-9)
+
+    def test_straight_line_is_degenerate(self):
+        t = np.linspace(0.0, 600.0, 13)
+        fit = fit_saturation(t, 0.11 + 0.004 * t)
+        assert fit.degenerate
+        assert math.isnan(fit.tau) and math.isnan(fit.amplitude)
+        assert fit.t0 == pytest.approx(0.11, rel=1e-12)
+        assert fit.residual < 1e-25
+
+    def test_step_before_second_sample_is_degenerate(self):
+        t = np.linspace(0.0, 600.0, 13)
+        y = np.where(t > 0.0, 0.47, 0.11)
+        fit = fit_saturation(t, y)
+        assert fit.degenerate
+        assert math.isnan(fit.tau)
+        assert fit.t0 == pytest.approx(0.11, rel=1e-12)
+        assert fit.amplitude == pytest.approx(0.36, rel=1e-12)
+
+    def test_shifted_time_origin(self):
+        t = np.linspace(-100.0, 500.0, 25)
+        y = 0.110 + 0.36 * (1.0 - np.exp(-t / 109.0))
+        fit = fit_saturation(t, y)
+        assert_allclose(
+            [fit.t0, fit.amplitude, fit.tau], [0.110, 0.36, 109.0], rtol=1e-9
+        )
+
+    def test_rejects_equal_times(self):
+        with pytest.raises(ValueError, match="equal"):
+            fit_saturation(np.full(5, 3.0), np.arange(5.0))
 
     def test_constant_data_is_degenerate(self):
         t = np.arange(0.0, 100.0, 10.0)
