@@ -29,7 +29,6 @@ from functools import cached_property
 import numpy as np
 
 from . import thermometry
-from .constants import H_OVER_KB
 from .qcr import CouplingSpec, JunctionSpec, RateTable, transition_rates
 from .system import SystemSpec, TransmonSpec, transmon_energies
 
@@ -89,11 +88,7 @@ class DensityMatrix:
     @classmethod
     def gibbs(cls, temperature: float, spec: TransmonSpec) -> "DensityMatrix":
         """Gibbs state of the truncated ladder at ``temperature`` (K)."""
-        if temperature <= 0:
-            raise ValueError(f"temperature must be positive, got {temperature}")
-        e = transmon_energies(spec)
-        p = np.exp(-H_OVER_KB * e / temperature)
-        return cls.from_populations(p / p.sum())
+        return cls.from_populations(thermometry.gibbs_populations(temperature, spec))
 
     @classmethod
     def level(cls, n: int, spec: TransmonSpec) -> "DensityMatrix":
@@ -138,12 +133,18 @@ class BiasPulse:
     period: float = 10.0
 
     def __post_init__(self):
-        if self.duration < 0:
-            raise ValueError(f"duration must be non-negative, got {self.duration}")
-        if self.period <= 0:
-            raise ValueError(f"period must be positive, got {self.period}")
-        if self.amplitude < 0:
-            raise ValueError(f"amplitude must be non-negative, got {self.amplitude}")
+        if not math.isfinite(self.dc_offset):
+            raise ValueError(f"dc_offset must be finite, got {self.dc_offset}")
+        if not 0 <= self.duration < math.inf:
+            raise ValueError(
+                f"duration must be non-negative and finite, got {self.duration}"
+            )
+        if not 0 < self.period < math.inf:
+            raise ValueError(f"period must be positive and finite, got {self.period}")
+        if not 0 <= self.amplitude < math.inf:
+            raise ValueError(
+                f"amplitude must be non-negative and finite, got {self.amplitude}"
+            )
         if self.amplitude > 0 and self.duration > 0:
             cycles = self.duration / self.period
             if abs(cycles - round(cycles)) > 1e-9:
@@ -503,39 +504,42 @@ def evolve_constant(
 def steady_state_from_rates(
     hamiltonian: np.ndarray, rates: RateTable
 ) -> DensityMatrix:
-    """Null vector of the generator, trace-normalized.
+    """Stationary ladder state by detailed balance.
 
-    Solves the stacked system [L; trace] x = [0; 1] by least squares with
-    one pass of iterative refinement, and insists on a generator residual
-    below 1e-9 relative to ||L||.
+    With a diagonal H and pure ladder jumps the populations form a
+    birth-death chain; its stationary state balances every rung,
+    p_{m+1} gamma_down(m) = p_m gamma_up(m), so
+
+        p_m ∝ prod_{k<m} gamma_up(k) * prod_{k>=m} gamma_down(k).
+
+    Every weight holds one rate of each rung, so each rung is divided by
+    its larger rate first, and the products are summed in logs: they
+    cannot underflow, and the result does not depend on the overall rate
+    scale.  Raises ValueError for a non-diagonal or wrongly sized H, for
+    non-finite or negative rates, and when every weight vanishes: then
+    the rates split the ladder into parts that never exchange population
+    (a rung with both rates zero, say), and the steady state is not
+    unique.
     """
-    if float(np.max(rates.gamma_down) if rates.gamma_down.size else 0.0) <= 0.0 and (
-        float(np.max(rates.gamma_up) if rates.gamma_up.size else 0.0) <= 0.0
-    ):
-        raise ValueError("all rates vanish; the steady state is degenerate")
-    gen = lindblad_generator(hamiltonian, rates)
-    d = hamiltonian.shape[0]
-    trace_row = np.zeros(d * d, dtype=complex)
-    trace_row[:: d + 1] = 1.0
-
-    a = np.vstack([gen, trace_row])
-    b = np.zeros(d * d + 1, dtype=complex)
-    b[-1] = 1.0
-    x, *_ = np.linalg.lstsq(a, b, rcond=None)
-    for _ in range(3):
-        resid = b - a @ x
-        corr, *_ = np.linalg.lstsq(a, resid, rcond=None)
-        x = x + corr
-
-    gen_scale = max(1.0, float(np.linalg.norm(gen, ord=np.inf)))
-    residual = float(np.linalg.norm(gen @ x)) / gen_scale
-    if residual > 1e-9:
-        raise RuntimeError(f"steady-state residual {residual:.2e} above 1e-9")
-
-    rho = x.reshape(d, d)
-    rho = 0.5 * (rho + rho.conj().T)
-    rho /= rho.trace().real
-    return DensityMatrix(rho)
+    g = np.asarray([rates.gamma_down, rates.gamma_up], dtype=float)
+    d = g.shape[-1] + 1
+    h = np.asarray(hamiltonian)
+    if g.ndim != 2 or h.shape != (d, d) or np.any(h != np.diag(h.diagonal())):
+        raise ValueError(f"hamiltonian must be diagonal and {d} x {d} for the rates")
+    if not np.all((0 <= g) & (g < np.inf)):
+        raise ValueError("rates must be finite and non-negative")
+    scale = g.max(axis=0)
+    ratios = np.divide(g, scale, out=np.zeros_like(g), where=scale > 0)
+    with np.errstate(divide="ignore"):
+        log_down, log_up = np.log(ratios)
+    log_w = np.array([log_up[:m].sum() + log_down[m:].sum() for m in range(d)])
+    if log_w.max() == -np.inf:
+        raise ValueError(
+            "the rates split the ladder into parts that never exchange "
+            "population: the steady state is not unique"
+        )
+    p = np.exp(log_w - log_w.max())
+    return DensityMatrix.from_populations(p / p.sum())
 
 
 def steady_state(

@@ -7,10 +7,10 @@ One cycle of the working medium (the transmon ladder):
   (iii) isochoric cool:  bias inside the gap (v_cold) at omega_min
   (iv)  adiabat:         omega_min -> omega_max, populations frozen
 
-Isochores are integrated with the Lindblad machinery; adiabats are ideal
-population-preserving frequency rescalings, so t_adiabat is wall-clock
-bookkeeping only.  Heat counts positive into the medium, work positive
-when extracted; energies are in GHz*h units.
+Each isochore is one exact step of the Lindblad machinery; adiabats are
+ideal population-preserving frequency rescalings.  Heat counts positive
+into the medium, work positive when extracted; energies are in GHz*h
+units.
 """
 
 from __future__ import annotations
@@ -20,13 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import (
-    DensityMatrix,
-    evolve,
-    BiasPulse,
-    steady_state_from_rates,
-    trace_distance,
-)
+from .dynamics import BiasPulse, evolve, steady_state_from_rates, trace_distance
 from .qcr import CouplingSpec, JunctionSpec, effective_temperature, transition_rates
 from .system import SystemSpec, TransmonSpec, transmon_energies
 
@@ -40,7 +34,6 @@ class OttoSpec:
     omega_max/omega_min are the medium's g-e frequency during the hot and
     cold strokes (GHz); v_hot must lie beyond the gap, v_cold inside it
     (mV); t_isochore is the bath-contact time per isochore (ns);
-    t_adiabat is the nominal tuning time of the ideal adiabats (ns);
     n_cycles the number of full cycles run.
     """
 
@@ -49,18 +42,21 @@ class OttoSpec:
     v_hot: float = 1.2
     v_cold: float = 0.19
     t_isochore: float = 20000.0
-    t_adiabat: float = 50.0
     n_cycles: int = 6
 
     def __post_init__(self):
-        if not 0 < self.omega_min < self.omega_max:
+        if not 0 < self.omega_min < self.omega_max < math.inf:
             raise ValueError(
-                f"need 0 < omega_min < omega_max, got {self.omega_min}, {self.omega_max}"
+                "need 0 < omega_min < omega_max < inf, got "
+                f"{self.omega_min}, {self.omega_max}"
             )
-        if self.t_isochore <= 0:
-            raise ValueError(f"t_isochore must be positive, got {self.t_isochore}")
-        if self.t_adiabat < 0:
-            raise ValueError(f"t_adiabat must be non-negative, got {self.t_adiabat}")
+        for name in ("v_hot", "v_cold"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if not 0 < self.t_isochore < math.inf:
+            raise ValueError(
+                f"t_isochore must be positive and finite, got {self.t_isochore}"
+            )
         if self.n_cycles < 1:
             raise ValueError(f"n_cycles must be at least 1, got {self.n_cycles}")
 
@@ -110,15 +106,15 @@ def run_cycle(
     system: SystemSpec,
     junction: JunctionSpec,
     coupling: CouplingSpec,
-    dt: float = 2.5,
 ) -> OttoResult:
     """Run n_cycles of the Otto cycle and return the energy ledger.
 
-    The medium starts in the cold-bath stationary state (populations of
-    the steady state at v_cold and omega_min), which makes the limit
-    cycle typically a one-to-two-cycle affair.  Bath temperatures quoted
-    in the result are the m=0-transition effective temperatures at the
-    respective stroke frequency and bias.
+    The medium starts in the cold-bath stationary state (the steady state
+    at v_cold and omega_min), which makes the limit cycle typically a
+    one-to-two-cycle affair.  Each isochore is one exact propagation step
+    of length t_isochore.  Bath temperatures quoted in the result are the
+    m=0-transition effective temperatures at the respective stroke
+    frequency and bias.
     """
     if spec.v_hot <= junction.delta:
         raise ValueError(
@@ -147,23 +143,12 @@ def run_cycle(
     eta_c = 1.0 - t_cold / t_hot if math.isfinite(t_hot) and t_hot > 0 else math.nan
 
     h_cold = np.diag(transmon_energies(cold_medium))
-    rho = DensityMatrix.from_populations(
-        steady_state_from_rates(h_cold, rates_cold).populations()
-    )
+    rho = steady_state_from_rates(h_cold, rates_cold)
 
-    def isochore(state, sys_at, duration, v):
-        pulse = BiasPulse(dc_offset=v, amplitude=0.0, duration=duration)
-        traj = evolve(
-            state,
-            sys_at,
-            junction,
-            coupling,
-            pulse,
-            dt=dt,
-            t_end=duration,
-            sample_every=max(int(round(duration / dt)), 1),
-        )
-        return traj.final
+    def isochore(state, sys_at, v):
+        t = spec.t_isochore
+        pulse = BiasPulse(dc_offset=v, amplitude=0.0, duration=t)
+        return evolve(state, sys_at, junction, coupling, pulse, dt=t, t_end=t).final
 
     n = spec.n_cycles
     q_hot = np.empty(n)
@@ -180,7 +165,7 @@ def run_cycle(
         e_a_hot = ladder_energy(p_a, hot_medium)
 
         # (i) hot isochore at omega_max
-        rho = isochore(rho, hot_system, spec.t_isochore, spec.v_hot)
+        rho = isochore(rho, hot_system, spec.v_hot)
         p_b = rho.populations()
         e_b_hot = ladder_energy(p_b, hot_medium)
         q_hot[c] = e_b_hot - e_a_hot
@@ -190,7 +175,7 @@ def run_cycle(
         w_out = e_b_hot - e_b_cold
 
         # (iii) cold isochore at omega_min
-        rho = isochore(rho, cold_system, spec.t_isochore, spec.v_cold)
+        rho = isochore(rho, cold_system, spec.v_cold)
         p_c = rho.populations()
         e_c_cold = ladder_energy(p_c, cold_medium)
         q_cold[c] = e_c_cold - e_b_cold

@@ -8,6 +8,7 @@ all couplings real.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,10 +45,12 @@ class TransmonSpec:
     n_levels: int = 6
 
     def __post_init__(self):
-        if self.omega_ge <= 0:
-            raise ValueError(f"omega_ge must be positive, got {self.omega_ge}")
-        if self.alpha >= 0:
-            raise ValueError(f"alpha must be negative, got {self.alpha}")
+        if not 0 < self.omega_ge < math.inf:
+            raise ValueError(
+                f"omega_ge must be positive and finite, got {self.omega_ge}"
+            )
+        if not -math.inf < self.alpha < 0:
+            raise ValueError(f"alpha must be negative and finite, got {self.alpha}")
         if self.n_levels < 2:
             raise ValueError(f"n_levels must be at least 2, got {self.n_levels}")
 
@@ -71,10 +74,10 @@ class ResonatorSpec:
     n_levels: int = 4
 
     def __post_init__(self):
-        if self.omega <= 0:
-            raise ValueError(f"omega must be positive, got {self.omega}")
-        if self.g <= 0:
-            raise ValueError(f"coupling g must be positive, got {self.g}")
+        if not 0 < self.omega < math.inf:
+            raise ValueError(f"omega must be positive and finite, got {self.omega}")
+        if not 0 < self.g < math.inf:
+            raise ValueError(f"coupling g must be positive and finite, got {self.g}")
         if self.n_levels < 1:
             raise ValueError(f"n_levels must be at least 1, got {self.n_levels}")
 

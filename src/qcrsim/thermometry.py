@@ -39,14 +39,16 @@ def gibbs_populations(
     Parameters
     ----------
     temperature : float
-        Temperature in K, > 0.
+        Temperature in K, finite and > 0.
     spec : TransmonSpec
         Supplies the ladder energies.
     truncation : int, optional
         Number of states kept (default: spec.n_levels).
     """
-    if temperature <= 0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
+    if not 0 < temperature < math.inf:
+        raise ValueError(
+            f"temperature must be positive and finite, got {temperature}"
+        )
     n = spec.n_levels if truncation is None else truncation
     if not 2 <= n <= spec.n_levels:
         raise ValueError(f"truncation must lie in [2, {spec.n_levels}], got {n}")

@@ -6,10 +6,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
 import qcrsim
+from qcrsim import CouplingSpec, JunctionSpec, SystemSpec
 from qcrsim.cli import build_parser, main
-from qcrsim.otto import OttoSpec
+from qcrsim.constants import AJ_PER_GHZ
+from qcrsim.otto import OttoSpec, run_cycle
 
 
 def read_rows(path):
@@ -324,6 +327,29 @@ class TestOtto:
         ) == 1
         assert "v_hot" in capsys.readouterr().err
 
+    def test_isochore_needs_no_step_grid(self, tmp_path):
+        """1001 ns is no multiple of any fixed sampling step; each isochore
+        is one exact step, so the ledger is the library's, which closes
+        the first law every cycle."""
+        argv = ["otto", "--t-isochore", "1001", "--n-cycles", "2"]
+        assert main(argv + ["--outdir", str(tmp_path)]) == 0
+        _, rows, _ = read_rows(tmp_path / "otto.csv")
+        result = run_cycle(
+            OttoSpec(t_isochore=1001.0, n_cycles=2),
+            SystemSpec(),
+            JunctionSpec(),
+            CouplingSpec(),
+        )
+        ledger = np.column_stack([result.q_hot, result.q_cold, result.work])
+        assert_allclose(rows[:, 1:4], ledger * AJ_PER_GHZ, rtol=1e-15)
+        balance = result.q_hot + result.q_cold - result.work - result.d_energy
+        assert np.abs(balance).max() < 1e-12 * np.abs(result.q_hot).max()
+
+    def test_t_adiabat_flag_rejected(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["otto", "--t-adiabat", "50", "--outdir", str(tmp_path)])
+        assert exc.value.code == 2
+
 
 class TestPipelines:
     def test_fig3d_products(self, tmp_path):
@@ -398,6 +424,18 @@ class TestPipelines:
             ["pipeline", "fig9z", "--outdir", str(tmp_path)]
         ) == 2
         assert "fig9z" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "line, block",
+        [("transmon.omega_ge = nan", "system"), ("pulse.amplitude = nan", "pulse")],
+    )
+    def test_non_finite_config_exits_2(self, tmp_path, capsys, line, block):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        assert main(
+            ["pipeline", str(cfg), "--outdir", str(tmp_path / "out")]
+        ) == 2
+        assert f"{block} block invalid" in capsys.readouterr().err
 
     def test_bad_config_key_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

@@ -130,6 +130,24 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match="system block invalid: reset_resonator"):
             cfg.validate()
 
+    @pytest.mark.parametrize(
+        "key, block",
+        [
+            ("transmon.omega_ge", "system"),
+            ("transmon.alpha", "system"),
+            ("reset.omega", "system"),
+            ("readout.g", "system"),
+            ("pulse.amplitude", "pulse"),
+            ("pulse.dc_offset", "pulse"),
+            ("pulse.period", "pulse"),
+            ("pulse.duration", "pulse"),
+        ],
+    )
+    def test_nan_names_the_block(self, key, block):
+        cfg = ExperimentConfig({key: float("nan")})
+        with pytest.raises(ConfigError, match=f"{block} block invalid"):
+            cfg.validate()
+
     def test_invalid_geometry_names_the_block(self):
         cfg = ExperimentConfig({"geometry.sigma": -1.0})
         with pytest.raises(ConfigError, match="geometry block"):

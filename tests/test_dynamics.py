@@ -25,7 +25,7 @@ from qcrsim.dynamics import (
     trace_distance,
     two_level_relaxation,
 )
-from qcrsim.qcr import RateTable, transition_rates
+from qcrsim.qcr import JunctionSpec, RateTable, transition_rates
 from qcrsim.system import TransmonSpec, transmon_energies
 from qcrsim.thermometry import gibbs_populations
 from qcrsim.constants import H_OVER_KB
@@ -42,8 +42,8 @@ def two_level_table(gamma_down, gamma_up):
     )
 
 
-def ladder_generator(gamma_down, gamma_up):
-    """Generator of the bare ladder with d = len(gamma_down) + 1 levels."""
+def ladder_table(gamma_down, gamma_up):
+    """Rate table and bare ladder H for d = len(gamma_down) + 1 levels."""
     d = len(gamma_down) + 1
     table = RateTable(
         v=0.0,
@@ -51,8 +51,12 @@ def ladder_generator(gamma_down, gamma_up):
         gamma_down=np.asarray(gamma_down, dtype=float),
         gamma_up=np.asarray(gamma_up, dtype=float),
     )
-    h = np.diag(transmon_energies(TransmonSpec(n_levels=d)))
-    return lindblad_generator(h, table)
+    return np.diag(transmon_energies(TransmonSpec(n_levels=d))), table
+
+
+def ladder_generator(gamma_down, gamma_up):
+    """Generator of the bare ladder with d = len(gamma_down) + 1 levels."""
+    return lindblad_generator(*ladder_table(gamma_down, gamma_up))
 
 
 def kron_generator(hamiltonian, rates):
@@ -101,10 +105,14 @@ def generator_inputs(draw):
 
 class TestDensityMatrix:
     def test_gibbs_matches_population_formula(self, transmon):
-        rho = DensityMatrix.gibbs(0.3, transmon)
-        assert_allclose(
-            rho.populations(), gibbs_populations(0.3, transmon), atol=1e-14
-        )
+        for t in (0.02, 0.3, 5.0):
+            rho = DensityMatrix.gibbs(t, transmon)
+            assert np.array_equal(rho.populations(), gibbs_populations(t, transmon))
+
+    @pytest.mark.parametrize("bad", [0.0, -0.1, math.nan, math.inf])
+    def test_gibbs_rejects_bad_temperature(self, transmon, bad):
+        with pytest.raises(ValueError, match="temperature"):
+            DensityMatrix.gibbs(bad, transmon)
 
     def test_level_state(self, transmon):
         rho = DensityMatrix.level(2, transmon)
@@ -181,6 +189,14 @@ class TestBiasPulse:
 
     def test_constant_bias_any_duration(self):
         BiasPulse(dc_offset=1.2, amplitude=0.0, duration=33.3)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "name", ["dc_offset", "amplitude", "duration", "period"]
+    )
+    def test_rejects_non_finite(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            BiasPulse(**{name: value})
 
 
 class TestLindbladGenerator:
@@ -520,6 +536,29 @@ class TestExpmMetzler:
         assert_allclose(_expm_metzler(np.zeros((4, 4))), np.eye(4), atol=0.0)
 
 
+def lstsq_steady_state(hamiltonian, rates):
+    """Null vector of the dense (d^2, d^2) generator, trace-normalized.
+
+    Solves the stacked system [L; trace] x = [0; 1] by least squares with
+    three passes of iterative refinement: the general-purpose reference
+    the detailed-balance product is checked against.
+    """
+    gen = lindblad_generator(hamiltonian, rates)
+    d = hamiltonian.shape[0]
+    trace_row = np.zeros(d * d, dtype=complex)
+    trace_row[:: d + 1] = 1.0
+    a = np.vstack([gen, trace_row])
+    b = np.zeros(d * d + 1, dtype=complex)
+    b[-1] = 1.0
+    x, *_ = np.linalg.lstsq(a, b, rcond=None)
+    for _ in range(3):
+        corr, *_ = np.linalg.lstsq(a, b - a @ x, rcond=None)
+        x = x + corr
+    rho = x.reshape(d, d)
+    rho = 0.5 * (rho + rho.conj().T)
+    return rho / rho.trace().real
+
+
 class TestSteadyState:
     def test_detailed_balance_gives_gibbs(self, transmon):
         t = 0.3
@@ -573,6 +612,89 @@ class TestSteadyState:
         assert (
             fidelity(ss, DensityMatrix.gibbs(t_eff, system.transmon)) > 0.999
         )
+
+    @settings(max_examples=50, deadline=None)
+    @given(ladder_rates())
+    def test_matches_lstsq_null_vector(self, rates):
+        h, table = ladder_table(*rates)
+        ss = steady_state_from_rates(h, table)
+        want = lstsq_steady_state(h, table)
+        assert_allclose(ss.matrix, want, rtol=0, atol=1e-12)
+
+    def test_sub_gap_bias_matches_long_evolution(self, system, coupling):
+        """Every rung of this table has T_eff = 0.02 K with rates near
+        5e-12 / ns; 1e14 ns is about 250 of the slowest relaxation times."""
+        junction = JunctionSpec(gamma_d=1e-8, t_n=0.02)
+        ss = steady_state(system, junction, coupling, 0.0)
+        table = transition_rates(system, junction, coupling, 0.0)
+        h = np.diag(transmon_energies(system.transmon))
+        for start in (0, system.transmon.n_levels - 1):
+            rho0 = DensityMatrix.level(start, system.transmon)
+            final = evolve_constant(rho0, h, table, dt=1e14, t_end=1e14).final
+            assert_allclose(ss.populations(), final.populations(), atol=1e-12)
+        gibbs = gibbs_populations(0.02, system.transmon)
+        assert_allclose(ss.populations(), gibbs, atol=1e-12)
+        assert ss.populations()[0] == pytest.approx(0.99995, abs=1e-5)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        rates=st.lists(
+            st.tuples(st.floats(1e-3, 1.0), st.floats(0.0, 1.0)),
+            min_size=1,
+            max_size=6,
+        ),
+        log_scale=st.floats(-15.0, 3.0),
+    )
+    def test_independent_of_rate_scale(self, rates, log_scale):
+        gamma_down, gamma_up = np.array(rates).T
+        h, table = ladder_table(gamma_down, gamma_up)
+        _, scaled = ladder_table(
+            gamma_down * 10.0**log_scale, gamma_up * 10.0**log_scale
+        )
+        p = steady_state_from_rates(h, table).populations()
+        p_scaled = steady_state_from_rates(h, scaled).populations()
+        assert_allclose(p_scaled, p, rtol=0, atol=1e-12)
+
+    def test_split_ladder_rejected(self):
+        # rung 2<->3 has no rates: {0, 1, 2} and {3, 4, 5} never exchange
+        h, table = ladder_table(
+            [0.05, 0.05, 0.0, 0.05, 0.05], [0.01, 0.01, 0.0, 0.01, 0.01]
+        )
+        with pytest.raises(ValueError, match="not unique"):
+            steady_state_from_rates(h, table)
+
+    def test_two_closed_ends_rejected(self):
+        # nothing climbs rung 1<->2 and nothing descends rung 3<->4, so
+        # {0, 1} and {4, 5} each keep whatever population they hold
+        h, table = ladder_table(
+            [0.05, 0.05, 0.05, 0.0, 0.05], [0.01, 0.0, 0.01, 0.01, 0.01]
+        )
+        with pytest.raises(ValueError, match="not unique"):
+            steady_state_from_rates(h, table)
+
+    def test_non_diagonal_hamiltonian_rejected(self):
+        h, table = ladder_table([0.05, 0.05], [0.01, 0.01])
+        h = h.astype(complex)
+        h[0, 1] = h[1, 0] = 0.01
+        with pytest.raises(ValueError, match="diagonal"):
+            steady_state_from_rates(h, table)
+
+    def test_wrongly_sized_hamiltonian_rejected(self):
+        h, table = ladder_table([0.05, 0.05], [0.01, 0.01])
+        with pytest.raises(ValueError, match="diagonal and 3 x 3"):
+            steady_state_from_rates(h[:2, :2], table)
+        _, short = ladder_table([0.05], [0.01])
+        with pytest.raises(ValueError, match="diagonal and 2 x 2"):
+            steady_state_from_rates(h, short)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.01])
+    @pytest.mark.parametrize("which", ["down", "up"])
+    def test_bad_rates_rejected(self, which, bad):
+        rates = {"down": [0.05, 0.05], "up": [0.01, 0.01]}
+        rates[which][1] = bad
+        h, table = ladder_table(rates["down"], rates["up"])
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            steady_state_from_rates(h, table)
 
 
 class TestTwoLevelRelaxation:

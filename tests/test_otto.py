@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -9,6 +11,7 @@ from qcrsim.otto import (
     ladder_energy,
     run_cycle,
 )
+from qcrsim.dynamics import two_level_relaxation
 from qcrsim.qcr import transition_rates
 from qcrsim.system import SystemSpec, TransmonSpec, transmon_energies
 
@@ -44,6 +47,14 @@ class TestOttoSpec:
     def test_rejects(self, kwargs):
         with pytest.raises(ValueError):
             OttoSpec(**kwargs)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "name", ["omega_max", "omega_min", "v_hot", "v_cold", "t_isochore"]
+    )
+    def test_rejects_non_finite(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            OttoSpec(**{name: value})
 
 
 def test_frequency_efficiency_value():
@@ -116,12 +127,39 @@ def test_two_level_limit_hits_frequency_efficiency(
         spec,
         t_isochore=adaptive_isochore(system, junction, coupling, spec),
     )
-    result = run_cycle(spec, system, junction, coupling, dt=2.5)
+    result = run_cycle(spec, system, junction, coupling)
     assert result.limit_cycle_reached
     assert result.work[-1] > 0
     assert result.eta_limit == pytest.approx(
         result.eta_frequency, rel=1e-9
     )
+
+
+def test_two_level_isochores_match_closed_form(junction, coupling):
+    """Each isochore is one exact step, so a qubit medium follows the
+    closed-form relaxation from the cold steady state, for any t_isochore."""
+    system = two_level_system()
+    spec = OttoSpec(t_isochore=1001.0, n_cycles=2)
+    result = run_cycle(spec, system, junction, coupling)
+
+    def relax(p, omega, v):
+        medium = replace(system, transmon=replace(system.transmon, omega_ge=omega))
+        table = transition_rates(medium, junction, coupling, v)
+        gd, gu = table.gamma_down[0], table.gamma_up[0]
+        return two_level_relaxation(p, gd, gu, spec.t_isochore), gu / (gd + gu)
+
+    _, p = relax(0.0, spec.omega_min, spec.v_cold)  # cold steady state
+    for c in range(spec.n_cycles):
+        p_hot, _ = relax(p, spec.omega_max, spec.v_hot)
+        p_cold, _ = relax(p_hot, spec.omega_min, spec.v_cold)
+        q_hot = (p_hot - p) * spec.omega_max
+        q_cold = (p_cold - p_hot) * spec.omega_min
+        assert result.q_hot[c] == pytest.approx(q_hot, rel=1e-10)
+        assert result.q_cold[c] == pytest.approx(q_cold, rel=1e-10)
+        p = p_cold
+    assert_allclose(result.final_populations, [1.0 - p, p], rtol=1e-12)
+    balance = result.q_hot + result.q_cold - result.work - result.d_energy
+    assert np.abs(balance).max() < 1e-12 * np.abs(result.q_hot).max()
 
 
 def test_deeper_compression_raises_efficiency(system, junction, coupling):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -57,6 +59,18 @@ class TestSpecValidation:
     def test_resonator_rejects_nonpositive_coupling(self):
         with pytest.raises(ValueError):
             ResonatorSpec(omega=4.67, g=0.0, n_levels=4)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["omega_ge", "alpha"])
+    def test_transmon_rejects_non_finite(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            TransmonSpec(**{name: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["omega", "g"])
+    def test_resonator_rejects_non_finite(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            ResonatorSpec(**{name: value})
 
     def test_dispersive_ratio_at_design_point(self, system):
         # reset resonator sits closest to the qubit; still dispersive

@@ -54,7 +54,7 @@ class TestGibbsPopulations:
         for t in (0.05, 0.3, 1.0, 5.0):
             assert is_monotone_thermal(gibbs_populations(t, transmon))
 
-    @pytest.mark.parametrize("bad", [0.0, -0.1])
+    @pytest.mark.parametrize("bad", [0.0, -0.1, math.nan, math.inf])
     def test_rejects_nonpositive_temperature(self, transmon, bad):
         with pytest.raises(ValueError):
             gibbs_populations(bad, transmon)
