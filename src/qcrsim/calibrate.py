@@ -64,7 +64,6 @@ def heated_temperature(
     junction: JunctionSpec | None = None,
     pulse: BiasPulse = REFERENCE_PULSE,
     t_idle: float = IDLE_TEMPERATURE,
-    dt: float = 0.1,
     purcell_filter: bool = True,
 ) -> float:
     """Fitted temperature (K) reached by ``pulse`` at a given rate scale.
@@ -77,7 +76,8 @@ def heated_temperature(
     junction = junction if junction is not None else JunctionSpec()
     coupling = CouplingSpec(kappa_eff=kappa_eff, purcell_filter=purcell_filter)
     rho0 = DensityMatrix.gibbs(t_idle, system.transmon)
-    traj = evolve(rho0, system, junction, coupling, pulse, dt=dt)
+    # one exact step over the pulse: only its end state is read
+    traj = evolve(rho0, system, junction, coupling, pulse, dt=pulse.duration)
     p4 = normalize_leading(traj.final.populations(), 4)
     fit = fit_gibbs(p4, system.transmon)
     return fit.temperature if fit.thermal else float("nan")
@@ -89,7 +89,6 @@ def calibrate_kappa_eff(
     junction: JunctionSpec | None = None,
     pulse: BiasPulse = REFERENCE_PULSE,
     t_idle: float = IDLE_TEMPERATURE,
-    dt: float = 0.1,
     lo: float = 0.01,
     hi: float = 2.0,
     tol: float = 1e-4,
@@ -117,7 +116,7 @@ def calibrate_kappa_eff(
         return (
             heated_temperature(
                 kappa, system=system, junction=junction, pulse=pulse,
-                t_idle=t_idle, dt=dt,
+                t_idle=t_idle,
             )
             - target
         )

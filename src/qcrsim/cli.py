@@ -419,7 +419,8 @@ def pipeline_fig4a(cfg: ExperimentConfig, outdir: Path, seed: int):
     for i, amp in enumerate(amplitudes):
         pulse = BiasPulse(dc_offset=0.0, amplitude=amp, duration=100.0)
         with _stage("evolve"):
-            traj = evolve(rho0, system, junction, coupling, pulse)
+            # only the end of the pulse is read out: one sample of 1000 steps
+            traj = evolve(rho0, system, junction, coupling, pulse, sample_every=1000)
         p_true = normalize_leading(traj.final.populations(), 4)
         with _stage("shots"):
             shots = synthesize_shots(
@@ -590,7 +591,10 @@ def cmd_thermo(args) -> int:
 
 def cmd_otto(args) -> int:
     cfg, outdir, _ = _resolve(args)
-    spec = OttoSpec(**{f.name: getattr(args, f.name) for f in fields(OttoSpec)})
+    try:
+        spec = OttoSpec(**{f.name: getattr(args, f.name) for f in fields(OttoSpec)})
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     path, result = stage_otto(cfg, outdir, spec)
     print(path)
     print(
@@ -670,7 +674,13 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="ns",
         help="pulse duration (default: config)",
     )
-    p.add_argument("--dt", type=float, default=0.1, metavar="ns")
+    p.add_argument(
+        "--dt",
+        type=float,
+        default=0.1,
+        metavar="ns",
+        help="sampling step; must divide the duration (edges may fall anywhere)",
+    )
     p.add_argument(
         "--init",
         default=f"gibbs:{IDLE_TEMPERATURE}",

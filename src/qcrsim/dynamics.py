@@ -12,10 +12,12 @@ dp/dt = Q p, and each coherence decays on its own,
 
     rho_mn(t) = rho_mn(0) exp[(-2*pi*i (E_m - E_n) - (G_m + G_n)/2) t],
 
-with G_m the total rate out of level m.  The rates are constant over
-each half-period of the bias pulse, so every such stretch is solved
+with G_m the total rate out of level m; Q and these rates are built
+straight from the rate table.  The rates are constant between the
+edges of the bias pulse, so a run is cut into pieces at those edges,
+wherever they fall, and at the samples, and every piece is solved
 exactly: exp(Q t) on the populations and the scalar exponentials on
-the coherences.  The time step only sets the sampling grid.
+the coherences.  The time step sets only the sampling grid.
 Dissipators act directly on the transmon ladder; the resonators enter
 through the rate model only.
 """
@@ -271,6 +273,35 @@ def split_generator(generator: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.real(q).copy(), lam
 
 
+def _ladder(hamiltonian: np.ndarray, rates: RateTable):
+    """Energies and stacked (gamma_down, gamma_up) of a diagonal ladder H."""
+    g = np.asarray([rates.gamma_down, rates.gamma_up], dtype=float)
+    d = g.shape[-1] + 1
+    h = np.asarray(hamiltonian)
+    if g.ndim != 2 or h.shape != (d, d) or np.any(h != np.diag(h.diagonal())):
+        raise ValueError(f"hamiltonian must be diagonal and {d} x {d} for the rates")
+    return h.diagonal().real, g
+
+
+def _ladder_blocks(hamiltonian: np.ndarray, rates: RateTable):
+    """Pauli block Q and coherence rates lam of the ladder master equation.
+
+    Q[m, m+1] = gamma_down(m), Q[m+1, m] = gamma_up(m) and Q[m, m] = -G_m,
+    with G_m the total rate out of level m; lam[m, n] = -2*pi*i (E_m - E_n)
+    - (G_m + G_n)/2 off the diagonal and 0 on it.  Q equals the Pauli
+    block of ``split_generator(lindblad_generator(hamiltonian, rates))``
+    bit for bit; lam sums the same rates in another order.
+    """
+    e, (down, up) = _ladder(hamiltonian, rates)
+    out = np.zeros(e.size)
+    out[1:] += down
+    out[:-1] += up
+    q = np.diag(down, 1) + np.diag(up, -1) - np.diag(out)
+    lam = -2j * np.pi * (e[:, None] - e) - 0.5 * (out[:, None] + out)
+    np.fill_diagonal(lam, 0.0)
+    return q, lam
+
+
 @dataclass
 class Trajectory:
     """Sampled populations along one integration run.
@@ -296,99 +327,83 @@ class Trajectory:
         return out
 
 
-def _n_steps(span: float, dt: float, what: str) -> int:
-    steps = span / dt
-    if abs(steps - round(steps)) > 1e-9:
-        raise ValueError(f"dt={dt} must evenly divide {what}={span}")
-    return int(round(steps))
+def _snap(steps: float):
+    """``steps`` as an int when within 1e-9 of one, else unchanged."""
+    nearest = round(steps)
+    return nearest if abs(steps - nearest) <= 1e-9 else steps
 
 
-def _segment_ids(pulse: BiasPulse, dt: float, n_steps: int):
-    """Per-step voltage and the distinct |V| list for the whole run."""
-    v_plus = pulse.dc_offset + pulse.amplitude
-    v_minus = pulse.dc_offset - pulse.amplitude
-
-    pulse_steps = min(_n_steps(pulse.duration, dt, "duration"), n_steps)
-    if pulse.amplitude > 0 and pulse.duration > 0:
-        half_steps = _n_steps(0.5 * pulse.period, dt, "half period")
-    else:
-        half_steps = max(pulse_steps, 1)
-
-    volts = np.zeros(n_steps)
-    idx = np.arange(pulse_steps)
-    volts[:pulse_steps] = np.where((idx // half_steps) % 2 == 0, v_plus, v_minus)
-
-    magnitudes = np.round(np.abs(volts), 12)
-    ordered = np.sort(magnitudes)
-    distinct = ordered[np.diff(ordered, prepend=-1.0) != 0]
-    seg_ids = np.searchsorted(distinct, magnitudes)
-    return seg_ids.astype(np.int64), distinct
+def _n_steps(t_end: float, dt: float) -> int:
+    steps = _snap(t_end / dt)
+    if not isinstance(steps, int):
+        raise ValueError(f"dt={dt} must evenly divide t_end={t_end}")
+    return steps
 
 
-def propagate(
-    rho0: DensityMatrix,
-    hamiltonian: np.ndarray,
-    generators: np.ndarray,
-    seg_ids: np.ndarray,
-    dt: float,
-    sample_every: int = 1,
-    keep_states: bool = False,
-    transmon: TransmonSpec | None = None,
+def _pulse_stretches(pulse: BiasPulse, dt: float, n_steps: int):
+    """Sorted distinct |V| of the pulse over ``n_steps`` steps of ``dt``
+    and its stretches (|V| index, start, stop) in units of dt.  An edge
+    within 1e-9 of the grid is put on it, so on-grid stretches last whole
+    numbers of steps."""
+    half = 0.5 * pulse.period / dt
+    n_half = round(2 * pulse.duration / pulse.period) if pulse.amplitude > 0 else 1
+    n_half = min(n_half, math.ceil(n_steps / half))  # none at or past the end
+    edges = [_snap(k * half) for k in range(n_half)]
+    edges += [_snap(pulse.duration / dt), n_steps]
+    cuts = sorted({min(edge, n_steps) for edge in edges})
+    mids = 0.5 * (np.array(cuts[:-1]) + cuts[1:]) * dt
+    volts = np.round(np.abs(pulse_voltage(pulse, mids)), 12)
+    volts, ids = np.unique(volts, return_inverse=True)
+    return volts.tolist(), list(zip(ids.tolist(), cuts, cuts[1:]))
+
+
+def _propagate_stretches(
+    rho0, blocks, stretches, dt, sample_every, transmon, keep_states=False
 ) -> Trajectory:
-    """Exact propagation under piecewise-constant ladder generators.
+    """Exact propagation through ``stretches`` (block index, start, stop),
+    in units of dt and in order from 0, under ``blocks`` of (Q, lam).
 
-    Low-level entry point shared by ``evolve`` and the engine-cycle code.
-    ``generators`` stacks (d^2, d^2) generators of ladder form (see
-    ``split_generator``); step i of length ``dt`` runs under
-    ``generators[seg_ids[i]]`` and every ``sample_every``-th step is
-    recorded, after the initial state in row 0.  The step grid is cut
-    into pieces at segment changes and samples; each piece is solved
-    exactly, so ``dt`` sets the sampling grid only.  ``hamiltonian`` is
-    not read: the generators already carry it.
-
-    Every sample is checked; a non-finite state, a trace drift or a
-    negative eigenvalue beyond 1e-6 aborts with an IntegratorError
-    naming the time and step.  A non-finite generator raises
-    IntegratorError too; one that couples populations and coherences
-    raises ValueError.
+    Stretches are cut at every sample and each piece is solved exactly,
+    one propagator per distinct (block, length); ``evolve`` lists the
+    checks.
     """
     d = rho0.dim
-    gens = np.asarray(generators)
-    seg_ids = np.asarray(seg_ids, dtype=np.int64)
-    n_steps = seg_ids.shape[0]
-    if gens.ndim != 3 or gens.shape[1:] != (d * d, d * d):
-        raise ValueError(f"generators must be (k, {d * d}, {d * d}), got {gens.shape}")
-    if n_steps and (seg_ids.min() < 0 or seg_ids.max() >= gens.shape[0]):
-        raise ValueError("segment index out of range")
+    for q, _ in blocks:
+        if q.shape != (d, d):
+            raise ValueError(f"state dimension {d} != ladder size {q.shape[0]}")
+    if not all(np.isfinite(q).all() and np.isfinite(lam).all() for q, lam in blocks):
+        raise IntegratorError("non-finite generator entries")
+    merged = []
+    for block, start, stop in stretches:
+        if merged and merged[-1][0] == block:
+            merged[-1][2] = stop
+        else:
+            merged.append([block, start, stop])
+    n_steps = merged[-1][2] if merged else 0
     if sample_every < 1 or n_steps % sample_every:
         raise ValueError("sample_every must divide the number of steps")
-    if not np.isfinite(gens).all():
-        raise IntegratorError("non-finite generator entries")
-    blocks = [split_generator(g) for g in gens]
 
-    # cut the step grid at every sample and every segment change
-    cut = np.zeros(n_steps + 1, dtype=bool)
-    cut[::sample_every] = True
-    cut[1:-1] |= np.diff(seg_ids) != 0
-    cuts = np.flatnonzero(cut).tolist()
     rhos = np.empty((n_steps // sample_every + 1, d, d), dtype=complex)
     rhos[0] = rho0.matrix
     rho = rhos[0]
     propagators = {}
     k = 1
-    for start, stop in zip(cuts[:-1], cuts[1:]):
-        key = (int(seg_ids[start]), stop - start)
-        if key not in propagators:
-            q, lam = blocks[key[0]]
-            tau = key[1] * dt
-            propagators[key] = (_expm_metzler(q * tau), np.exp(lam * tau))
-        pauli, decay = propagators[key]
-        populations = pauli @ rho.diagonal()
-        rho = rho * decay
-        np.fill_diagonal(rho, populations)
-        if stop % sample_every == 0:
-            rhos[k] = rho
-            k += 1
+    for block, start, stop in merged:
+        while start < stop:
+            end = min(stop, (start // sample_every + 1) * sample_every)
+            key = (block, end - start)
+            if key not in propagators:
+                q, lam = blocks[block]
+                tau = key[1] * dt
+                propagators[key] = (_expm_metzler(q * tau), np.exp(lam * tau))
+            pauli, decay = propagators[key]
+            populations = pauli @ rho.diagonal()
+            rho = rho * decay
+            np.fill_diagonal(rho, populations)
+            if end % sample_every == 0:
+                rhos[k] = rho
+                k += 1
+            start = end
 
     times = np.arange(rhos.shape[0]) * (dt * sample_every)
 
@@ -419,6 +434,34 @@ def propagate(
     )
 
 
+def propagate(
+    rho0: DensityMatrix,
+    hamiltonian: np.ndarray,
+    generators: np.ndarray,
+    seg_ids: np.ndarray,
+    dt: float,
+    sample_every: int = 1,
+    keep_states: bool = False,
+    transmon: TransmonSpec | None = None,
+) -> Trajectory:
+    """Exact propagation under piecewise-constant ladder generators.
+
+    ``generators`` stacks (d^2, d^2) generators of ladder form (see
+    ``split_generator``); step i of length ``dt`` runs under
+    ``generators[seg_ids[i]]`` and every ``sample_every``-th step is
+    recorded after the initial state in row 0, solved and checked as in
+    ``evolve``.  ``hamiltonian`` is not read: the generators carry it.
+    """
+    blocks = [split_generator(g) for g in generators]
+    seg_ids = np.asarray(seg_ids, dtype=np.int64)
+    if seg_ids.size and (seg_ids.min() < 0 or seg_ids.max() >= len(blocks)):
+        raise ValueError("segment index out of range")
+    stretches = [(k, i, i + 1) for i, k in enumerate(seg_ids.tolist())]
+    return _propagate_stretches(
+        rho0, blocks, stretches, dt, sample_every, transmon, keep_states
+    )
+
+
 def evolve(
     rho0: DensityMatrix,
     system: SystemSpec,
@@ -441,39 +484,32 @@ def evolve(
     rho0 : DensityMatrix
         Initial ladder state, dimension transmon.n_levels.
     dt : float
-        Sampling step in ns; must divide the half period, the pulse
-        duration and t_end.  Each constant-bias stretch is solved
-        exactly, so dt sets the sampling grid only.
+        Sampling step in ns; must divide t_end.  The run is cut into
+        pieces at the pulse edges, wherever they fall, and at the
+        samples; each piece is solved exactly, so dt sets the sampling
+        grid only.
     t_end : float
         Total integration time in ns (default: pulse duration).
     sample_every : int
         Record every k-th step into the trajectory.
+
+    Every sample is checked; a non-finite state, a trace drift or a
+    negative eigenvalue beyond 1e-6 aborts with an IntegratorError
+    naming the time and step, and so do non-finite rates.
     """
-    transmon = system.transmon
-    if rho0.dim != transmon.n_levels:
-        raise ValueError(
-            f"state dimension {rho0.dim} != ladder size {transmon.n_levels}"
-        )
     if t_end is None:
         t_end = pulse.duration
     if dt <= 0 or t_end <= 0:
         raise ValueError("dt and t_end must be positive")
 
-    n_steps = _n_steps(t_end, dt, "t_end")
-    seg_ids, magnitudes = _segment_ids(pulse, dt, n_steps)
-
-    h = np.diag(transmon_energies(transmon))
-    tables = [transition_rates(system, junction, coupling, v) for v in magnitudes]
-    gens = np.stack([lindblad_generator(h, tb) for tb in tables])
-
-    return propagate(
-        rho0,
-        h,
-        gens,
-        seg_ids,
-        dt,
-        sample_every=sample_every,
-        transmon=transmon,
+    volts, stretches = _pulse_stretches(pulse, dt, _n_steps(t_end, dt))
+    h = np.diag(transmon_energies(system.transmon))
+    blocks = [
+        _ladder_blocks(h, transition_rates(system, junction, coupling, v))
+        for v in volts
+    ]
+    return _propagate_stretches(
+        rho0, blocks, stretches, dt, sample_every, system.transmon
     )
 
 
@@ -486,19 +522,13 @@ def evolve_constant(
     sample_every: int = 1,
     transmon: TransmonSpec | None = None,
 ) -> Trajectory:
-    """Propagate under a single fixed rate table (no pulse bookkeeping)."""
-    n_steps = _n_steps(t_end, dt, "t_end")
-    gen = lindblad_generator(hamiltonian, rates)
-    seg_ids = np.zeros(n_steps, dtype=np.int64)
-    return propagate(
-        rho0,
-        hamiltonian,
-        gen[np.newaxis],
-        seg_ids,
-        dt,
-        sample_every=sample_every,
-        transmon=transmon,
-    )
+    """Propagate under a single fixed rate table (no pulse bookkeeping).
+
+    ``hamiltonian`` must be diagonal and sized for the rates.
+    """
+    blocks = [_ladder_blocks(hamiltonian, rates)]
+    stretches = [(0, 0, _n_steps(t_end, dt))]
+    return _propagate_stretches(rho0, blocks, stretches, dt, sample_every, transmon)
 
 
 def steady_state_from_rates(
@@ -521,18 +551,14 @@ def steady_state_from_rates(
     (a rung with both rates zero, say), and the steady state is not
     unique.
     """
-    g = np.asarray([rates.gamma_down, rates.gamma_up], dtype=float)
-    d = g.shape[-1] + 1
-    h = np.asarray(hamiltonian)
-    if g.ndim != 2 or h.shape != (d, d) or np.any(h != np.diag(h.diagonal())):
-        raise ValueError(f"hamiltonian must be diagonal and {d} x {d} for the rates")
+    e, g = _ladder(hamiltonian, rates)
     if not np.all((0 <= g) & (g < np.inf)):
         raise ValueError("rates must be finite and non-negative")
     scale = g.max(axis=0)
     ratios = np.divide(g, scale, out=np.zeros_like(g), where=scale > 0)
     with np.errstate(divide="ignore"):
         log_down, log_up = np.log(ratios)
-    log_w = np.array([log_up[:m].sum() + log_down[m:].sum() for m in range(d)])
+    log_w = np.array([log_up[:m].sum() + log_down[m:].sum() for m in range(e.size)])
     if log_w.max() == -np.inf:
         raise ValueError(
             "the rates split the ladder into parts that never exchange "

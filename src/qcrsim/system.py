@@ -123,7 +123,7 @@ class SystemSpec:
             ("readout_resonator", self.readout_resonator),
         ):
             ratio = res.dispersive_ratio(self.transmon.omega_ge)
-            if res.g != 0.0 and ratio >= DISPERSIVE_RATIO_MAX:
+            if ratio >= DISPERSIVE_RATIO_MAX:
                 raise ValueError(
                     f"{name} is not dispersively coupled: "
                     f"|g|/|omega-omega_ge| = {ratio:.3f} >= {DISPERSIVE_RATIO_MAX}"

@@ -327,6 +327,12 @@ class TestOtto:
         ) == 1
         assert "v_hot" in capsys.readouterr().err
 
+    def test_invalid_flag_value_is_usage_error(self, tmp_path, capsys):
+        assert main(
+            ["otto", "--v-hot", "nan", "--outdir", str(tmp_path)]
+        ) == 2
+        assert "v_hot must be finite, got nan" in capsys.readouterr().err
+
     def test_isochore_needs_no_step_grid(self, tmp_path):
         """1001 ns is no multiple of any fixed sampling step; each isochore
         is one exact step, so the ledger is the library's, which closes
@@ -412,8 +418,9 @@ class TestPipelines:
 
     def test_failing_stage_named_exit_1(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
-        # Valid pulse, but dt = 0.1 ns cannot divide the 0.15 ns half period.
-        cfg.write_text("pulse.period = 0.3\npulse.duration = 3.0\n")
+        # Valid pulse of 21 periods, but 3.15 ns is no whole number of
+        # 0.1 ns steps.
+        cfg.write_text("pulse.period = 0.15\npulse.duration = 3.15\n")
         assert main(
             ["pipeline", str(cfg), "--outdir", str(tmp_path / "out")]
         ) == 1

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_max_ulp
 from scipy.linalg import expm
 
 from qcrsim.dynamics import (
     _expm_metzler,
+    _ladder_blocks,
     BiasPulse,
     DensityMatrix,
     IntegratorError,
@@ -335,13 +336,35 @@ class TestEvolve:
         )
         assert math.isnan(traj.temperatures[0])
 
-    def test_dt_must_divide_half_period(
+    def test_edge_between_samples_matches_two_piece_closed_form(
         self, system, junction, coupling
     ):
+        """The 0.15 ns half period puts every other edge between the
+        0.1 ns samples; each period is still 0.15 ns at 1.2 mV, then
+        0.15 ns at 0.6 mV."""
+        rho0 = DensityMatrix.gibbs(0.11, system.transmon)
+        pulse = BiasPulse(dc_offset=0.3, amplitude=0.9, duration=3.0, period=0.3)
+        traj = evolve(rho0, system, junction, coupling, pulse, dt=0.1)
+        h = np.diag(transmon_energies(system.transmon))
+
+        def step(v, tau):
+            table = transition_rates(system, junction, coupling, v)
+            return _expm_metzler(split_generator(lindblad_generator(h, table))[0] * tau)
+
+        p0 = rho0.populations()
+        period = step(0.6, 0.15) @ step(1.2, 0.15)
+        want = np.linalg.matrix_power(period, 10) @ p0
+        assert np.abs(want - p0).max() > 1e-3
+        assert np.abs(traj.populations[-1] - want).max() < 1e-12
+        # the sample at 0.2 ns lies 0.05 ns into the first 0.6 mV stretch
+        want = step(0.6, 0.05) @ step(1.2, 0.15) @ p0
+        assert np.abs(traj.populations[2] - want).max() < 1e-12
+
+    def test_t_end_must_be_whole_steps(self, system, junction, coupling):
         rho0 = DensityMatrix.gibbs(0.11, system.transmon)
         pulse = BiasPulse(amplitude=1.2, duration=100.0, period=10.0)
-        with pytest.raises(ValueError):
-            evolve(rho0, system, junction, coupling, pulse, dt=0.4)
+        with pytest.raises(ValueError, match="t_end"):
+            evolve(rho0, system, junction, coupling, pulse, dt=0.1, t_end=0.35)
 
 
 class TestPropagate:
@@ -479,6 +502,34 @@ def ladder_rates(draw):
 
 
 class TestPauliBlock:
+    def test_ladder_blocks_match_split_generator(self):
+        """Q bit for bit; lam sums the same rates in another order."""
+        rng = np.random.default_rng(3)
+        for _ in range(300):
+            d = int(rng.integers(2, 8))
+            h = np.diag(np.sort(rng.uniform(0.0, 30.0, d)))
+            down = rng.uniform(0.0, 1.0, d - 1) * 10.0 ** rng.uniform(-3, 1, d - 1)
+            up = rng.uniform(0.0, 1.0, d - 1) * down
+            down[rng.random(d - 1) < 0.2] = 0.0
+            up[rng.random(d - 1) < 0.2] = 0.0
+            _, table = ladder_table(down, up)
+            q, lam = _ladder_blocks(h, table)
+            q_ref, lam_ref = split_generator(lindblad_generator(h, table))
+            assert np.array_equal(q, q_ref)
+            assert np.array_equal(lam.imag, lam_ref.imag)
+            assert_array_max_ulp(lam.real, lam_ref.real, maxulp=4)
+
+    def test_constant_evolution_rejects_non_diagonal_hamiltonian(self):
+        h, table = ladder_table([0.05], [0.01])
+        with pytest.raises(ValueError, match="diagonal"):
+            evolve_constant(
+                DensityMatrix.level(0, TWO_LEVEL),
+                h + np.array([[0.0, 0.1], [0.1, 0.0]]),
+                table,
+                dt=0.1,
+                t_end=1.0,
+            )
+
     @settings(max_examples=50, deadline=None)
     @given(ladder_rates())
     def test_columns_sum_to_zero(self, rates):
