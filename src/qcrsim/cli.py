@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import math
 import sys
 from contextlib import contextmanager
 from dataclasses import fields
@@ -66,24 +65,28 @@ class StageError(RuntimeError):
 
 
 def _fmt(value) -> str:
-    """Exact-decimal cell formatting (floats via repr round-trip)."""
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return str(value)
+    """Exact-decimal float formatting (repr round-trip)."""
+    return repr(float(value))
 
 
-def write_csv(path: Path, header: list[str], rows, comments: list[str] = ()):
-    """Write rows with fixed newline discipline; comments go at the end
-    as ``# key = value`` lines (summary block)."""
+def write_csv(path: Path, header: list[str], columns, comments: list[str] = ()):
+    """Write one column per header name, with fixed newline discipline;
+    comments go at the end as ``# key = value`` lines (summary block).
+
+    Each column is a 1-d array or sequence, all of one length.  It is
+    converted with ``np.asarray(column).tolist()``, so integer columns
+    stay integers, and each cell is written with ``%s``, which for a
+    Python float is its ``repr``: the shortest decimal that reads back
+    exactly.
+    """
+    cells = [np.asarray(column).tolist() for column in columns]
+    template = ",".join(["%s"] * len(cells))
+    lines = [",".join(header)]
+    lines += [template % row for row in zip(*cells, strict=True)]
+    lines += [f"# {comment}" for comment in comments]
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(cell) for cell in row) + "\n")
-        for comment in comments:
-            fh.write(f"# {comment}\n")
+        fh.write("\n".join(lines) + "\n")
     return path
 
 
@@ -126,7 +129,7 @@ def stage_rates(cfg: ExperimentConfig, outdir: Path, biases) -> Path:
     return write_csv(
         outdir / "rates.csv",
         ["V_mV", "m", "gamma_down_per_ns", "gamma_up_per_ns", "T_eff_K"],
-        rows,
+        zip(*rows),
     )
 
 
@@ -164,12 +167,8 @@ def stage_evolve(
     )
     n = transmon.n_levels
     header = ["t_ns"] + [f"p{j}" for j in range(n)] + ["T_fit_K"]
-    temps = traj.temperatures
-    rows = [
-        (traj.times[i], *traj.populations[i], temps[i])
-        for i in range(traj.times.size)
-    ]
-    path = write_csv(outdir / name, header, rows)
+    columns = [traj.times, *traj.populations.T, traj.temperatures]
+    path = write_csv(outdir / name, header, columns)
     return path, traj
 
 
@@ -185,22 +184,21 @@ def stage_shots(
     """Synthesize IQ shots; calibration mode emits n_shots per prepared
     state with a label column instead of sampling the mixture."""
     model = cfg.as_readout_model()
-    rows = []
     if calibration:
-        for j, label in enumerate(model.labels):
-            one_hot = np.eye(model.n_components)[j]
-            pts = synthesize_shots(
-                one_hot, model, n_shots, seed=_seed_for(seed, "calibration", j)
-            )
-            rows += [(p[0], p[1], label) for p in pts]
-        header = ["i", "q", "label"]
-    else:
-        pts = synthesize_shots(
-            populations, model, n_shots, seed=_seed_for(seed, "shots")
+        pts = np.concatenate(
+            [
+                synthesize_shots(
+                    one_hot, model, n_shots, seed=_seed_for(seed, "calibration", j)
+                )
+                for j, one_hot in enumerate(np.eye(model.n_components))
+            ]
         )
-        rows = [(p[0], p[1]) for p in pts]
-        header = ["i", "q"]
-    return write_csv(outdir / name, header, rows)
+        labels = [label for label in model.labels for _ in range(n_shots)]
+        return write_csv(outdir / name, ["i", "q", "label"], [*pts.T, labels])
+    pts = synthesize_shots(
+        populations, model, n_shots, seed=_seed_for(seed, "shots")
+    )
+    return write_csv(outdir / name, ["i", "q"], pts.T)
 
 
 def _model_lines(gmm) -> list[str]:
@@ -258,7 +256,7 @@ def stage_fit(
     pops_path = write_csv(
         outdir / "populations.csv",
         [f"p{j}" for j in range(len(order))],
-        [tuple(est.populations[j] for j in order)],
+        est.populations[order, None],
     )
     return model_path, pops_path, est
 
@@ -287,50 +285,40 @@ def stage_thermo(
     sweep_col = next(
         (k for k in ("V_mV", "t_ns") if k in columns), None
     )
-    n_rows = len(columns["p0"])
-    header = ([sweep_col] if sweep_col else []) + [
-        "T_mK",
-        "T_err_mK",
-        "residual",
-    ]
-
-    rows, temps = [], []
-    for i in range(n_rows):
-        p = np.array([float(columns[f"p{j}"][i]) for j in range(4)])
+    p = np.array([[float(x) for x in columns[f"p{j}"]] for j in range(4)]).T
+    try:
         fit = fit_gibbs(p, transmon)
-        t_mk = fit.temperature * 1e3 if fit.thermal else math.nan
-        err_mk = fit.uncertainty * 1e3 if fit.thermal else math.nan
-        temps.append(fit.temperature if fit.thermal else math.nan)
-        row = (t_mk, err_mk, fit.residual)
-        if sweep_col:
-            row = (float(columns[sweep_col][i]),) + row
-        rows.append(row)
+    except (ValueError, RuntimeError) as exc:
+        raise type(exc)(f"{populations_path}: {exc}") from exc
+    temps = fit.temperature  # K, NaN where non-thermal
+    header = ["T_mK", "T_err_mK", "residual"]
+    out = [temps * 1e3, fit.uncertainty * 1e3, fit.residual]
 
     comments = []
+    if sweep_col:
+        sweep = np.array([float(x) for x in columns[sweep_col]])
+        header.insert(0, sweep_col)
+        out.insert(0, sweep)
+        ok = np.isfinite(temps)
+        sweep, temps = sweep[ok], temps[ok]
     if sweep_col == "V_mV":
-        v_gap = cfg.as_junction().delta
-        v = np.array([float(x) for x in columns["V_mV"]])
-        t = np.array(temps)
-        ok = np.isfinite(t)
         try:
-            slope = _fmt(heating_slope(v[ok], t[ok], v_min=v_gap))
+            slope = _fmt(heating_slope(sweep, temps, v_min=cfg.as_junction().delta))
         except ValueError:
             slope = "nan  # fewer than 3 points above the gap"
         comments.append(f"slope_K_per_mV = {slope}")
     elif sweep_col == "t_ns":
-        t_axis = np.array([float(x) for x in columns["t_ns"]])
-        t_kelvin = np.array(temps)
-        ok = np.isfinite(t_kelvin)
-        sat = fit_saturation(t_axis[ok], t_kelvin[ok])
-        saturated = bool(np.isfinite(sat.tau) and sat.tau <= t_axis[ok].max())
-        comments += [
-            f"t0_K = {_fmt(sat.t0)}",
-            f"a_K = {_fmt(sat.amplitude)}",
-            f"tau_ns = {_fmt(sat.tau)}",
-            f"fit_residual = {_fmt(sat.residual)}",
-            f"saturated_within_window = {str(saturated).lower()}",
-        ]
-    return write_csv(outdir / name, header, rows, comments=comments)
+        if temps.size < 4:
+            values = ["nan  # fewer than 4 thermal samples"] * 4
+            saturated = False
+        else:
+            sat = fit_saturation(sweep, temps)
+            values = [_fmt(x) for x in (sat.t0, sat.amplitude, sat.tau, sat.residual)]
+            saturated = bool(np.isfinite(sat.tau) and sat.tau <= sweep.max())
+        keys = ("t0_K", "a_K", "tau_ns", "fit_residual")
+        comments += [f"{key} = {value}" for key, value in zip(keys, values)]
+        comments.append(f"saturated_within_window = {str(saturated).lower()}")
+    return write_csv(outdir / name, header, out, comments=comments)
 
 
 def stage_otto(
@@ -339,15 +327,12 @@ def stage_otto(
     result = run_cycle(
         spec, cfg.as_system(), cfg.as_junction(), cfg.as_coupling()
     )
-    rows = [
-        (
-            cycle + 1,
-            result.q_hot[cycle] * AJ_PER_GHZ,
-            result.q_cold[cycle] * AJ_PER_GHZ,
-            result.work[cycle] * AJ_PER_GHZ,
-            result.eta[cycle],
-        )
-        for cycle in range(spec.n_cycles)
+    columns = [
+        np.arange(1, spec.n_cycles + 1),
+        result.q_hot * AJ_PER_GHZ,
+        result.q_cold * AJ_PER_GHZ,
+        result.work * AJ_PER_GHZ,
+        result.eta,
     ]
     comments = [
         f"eta_limit = {_fmt(result.eta_limit)}",
@@ -360,7 +345,7 @@ def stage_otto(
     path = write_csv(
         outdir / name,
         ["cycle", "Q_h_aJ", "Q_c_aJ", "W_aJ", "eta"],
-        rows,
+        columns,
         comments=comments,
     )
     return path, result
@@ -434,7 +419,7 @@ def pipeline_fig4a(cfg: ExperimentConfig, outdir: Path, seed: int):
     pops_path = write_csv(
         outdir / "sweep_populations.csv",
         ["V_mV", "p0", "p1", "p2", "p3"],
-        rows,
+        zip(*rows),
     )
     with _stage("thermo"):
         stage_thermo(cfg, outdir, pops_path)
@@ -455,16 +440,11 @@ def pipeline_fig4b(cfg: ExperimentConfig, outdir: Path, seed: int):
                 sample_every=50,
                 name=f"evolve_{tag}mV.csv",
             )
-        temps = traj.temperatures
-        ok = np.isfinite(temps)
+        ok = np.isfinite(traj.temperatures)
         pops_path = write_csv(
             outdir / f"temps_{tag}mV.csv",
             ["t_ns", "p0", "p1", "p2", "p3"],
-            [
-                (traj.times[j], *normalize_leading(traj.populations[j], 4))
-                for j in range(traj.times.size)
-                if ok[j]
-            ],
+            [traj.times[ok], *normalize_leading(traj.populations[ok], 4).T],
         )
         with _stage("thermo"):
             stage_thermo(cfg, outdir, pops_path, name=f"thermo_{tag}mV.csv")

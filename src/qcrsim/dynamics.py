@@ -319,12 +319,8 @@ class Trajectory:
     @cached_property
     def temperatures(self) -> np.ndarray:
         """Per-sample Gibbs-fit temperature (K); NaN where non-thermal."""
-        out = np.full(self.times.shape[0], np.nan)
-        for i, p in enumerate(self.populations):
-            fit = thermometry.fit_gibbs(p[: min(4, p.size)], self.transmon)
-            if fit.thermal:
-                out[i] = fit.temperature
-        return out
+        p = self.populations[:, :4]
+        return thermometry.fit_gibbs(p, self.transmon).temperature
 
 
 def _snap(steps: float):

@@ -144,10 +144,15 @@ def mahalanobis_sq(points, mean, cov) -> np.ndarray:
     points = np.asarray(points, dtype=float)
     mean = np.asarray(mean, dtype=float)
     cov = np.asarray(cov, dtype=float)
-    if points.ndim != 2 or points.shape[1] != 2 or mean.shape != (2,):
-        raise ValueError(
-            f"points must be (n, 2) and mean (2,), got {points.shape} and {mean.shape}"
-        )
+    if points.ndim != 2 or points.shape[1] != 2:
+        raise ValueError(f"points must be (n, 2), got {points.shape}")
+    _check_component(mean, cov)
+    return _quad_form(points, mean, cov)
+
+
+def _check_component(mean, cov):
+    if mean.shape != (2,):
+        raise ValueError(f"mean must be (2,), got {mean.shape}")
     if (
         cov.shape != (2, 2)
         or not np.isfinite(cov).all()
@@ -158,12 +163,29 @@ def mahalanobis_sq(points, mean, cov) -> np.ndarray:
         raise ValueError(
             f"cov {cov.tolist()} is not a 2x2 symmetric positive-definite matrix"
         )
-    inv = _inv(cov)
-    dx = points[:, 0] - mean[0]
-    dy = points[:, 1] - mean[1]
-    return (
-        inv[0, 0] * dx * dx + (inv[0, 1] + inv[1, 0]) * dx * dy + inv[1, 1] * dy * dy
-    )
+
+
+def _quad_form(points, means, covs) -> np.ndarray:
+    # Squared Mahalanobis distances of the (n, 2) points to one component,
+    # shape (n,), or to a stack of k components, shape (k, n), by the
+    # expanded quadratic form of the explicit inverse,
+    #   (xx dx) dx + (xy dx) dy + (yy dy) dy.
+    # Built in place in three arrays: with more (k, n) temporaries the
+    # memory freed at the end of one call goes back to the system and is
+    # faulted in again by the next, which cost more than the arithmetic
+    # (glibc malloc, n = 10 000 shots).
+    inv = _inv(covs)
+    dx = points[:, 0] - means[..., 0, None]
+    dy = points[:, 1] - means[..., 1, None]
+    q = inv[..., 0, 0, None] * dx
+    q *= dx
+    dx *= (inv[..., 0, 1] + inv[..., 1, 0])[..., None]
+    dx *= dy
+    q += dx
+    np.multiply(inv[..., 1, 1, None], dy, out=dx)
+    dx *= dy
+    q += dx
+    return q
 
 
 @dataclass
@@ -207,24 +229,33 @@ def _as_shots(shots) -> np.ndarray:
     return shots
 
 
-def _log_gaussian(shots, mean, cov):
-    maha = mahalanobis_sq(shots, mean, cov)
-    return -math.log(2.0 * math.pi) - 0.5 * math.log(_det(cov)) - 0.5 * maha
+def _math_log(x) -> np.ndarray:
+    # math.log elementwise: np.log can differ from it in the last bit
+    x = np.asarray(x)
+    return np.array([math.log(v) for v in x.ravel().tolist()]).reshape(x.shape)
+
+
+def _log_gaussian(shots, means, covs):
+    # log N(x | mean, cov) of each shot for one component, shape (n,), or
+    # for a stack of k components, shape (k, n)
+    out = _quad_form(shots, means, covs)
+    out *= -0.5
+    out += (-math.log(2.0 * math.pi) - 0.5 * _math_log(_det(covs)))[..., None]
+    return out
 
 
 def _e_step(shots, weights, means, covs):
     # Responsibilities (k, n) and the log mixture density of each shot,
-    # log sum_j w_j N(x | mean_j, cov_j), by a max-shifted log-sum-exp.
-    log_joint = np.stack(
-        [
-            math.log(w) + _log_gaussian(shots, m, c)
-            for w, m, c in zip(weights, means, covs)
-        ]
-    )
-    top = log_joint.max(axis=0)
-    joint = np.exp(log_joint - top)
+    # log sum_j w_j N(x | mean_j, cov_j), by a max-shifted log-sum-exp,
+    # in place in the one (k, n) array.
+    joint = _log_gaussian(shots, means, covs)
+    joint += _math_log(weights)[:, None]
+    top = joint.max(axis=0)
+    joint -= top
+    np.exp(joint, out=joint)
     total = joint.sum(axis=0)
-    return joint / total, top + np.log(total)
+    joint /= total
+    return joint, top + np.log(total)
 
 
 def _min_cost_matching(cost) -> np.ndarray:
@@ -291,6 +322,19 @@ def _kmeanspp_init(shots, k, rng):
         if _det(covs[j]) <= 0:
             covs[j] = global_cov
     return weights / weights.sum(), means, covs
+
+
+def _scatter(columns, center, resp, diff, weighted):
+    # sum_i r_i (x_i - c)(x_i - c)^T as (r[:, None] * diff).T @ diff, with
+    # diff = x - c and r * diff written column by column, from the (2, n)
+    # ``columns`` of the shots, into the (n, 2) buffers.  The product gets
+    # the C-ordered (n, 2) operands of the one-line expression, so it
+    # rounds the same, while passes over contiguous columns run about
+    # twice as fast as passes over rows of two.
+    for c in range(2):
+        np.subtract(columns[c], center[c], out=diff[:, c])
+        np.multiply(resp, diff[:, c], out=weighted[:, c])
+    return weighted.T @ diff
 
 
 def _log_anchor_prior(means, covs, m0, psi0, kappa0, nu0):
@@ -374,6 +418,8 @@ def fit_gmm(
     det_floor = COLLAPSE_DET_FLOOR * data_scale**2
     reseeded = np.zeros(k, dtype=bool)
 
+    columns = np.ascontiguousarray(shots.T)
+    diff, weighted = np.empty_like(shots), np.empty_like(shots)
     history = []
     prev_obj = -math.inf
     converged = False
@@ -405,8 +451,7 @@ def fit_gmm(
         if anchored:
             means = (kappa0 * m0 + nk[:, None] * xbar) / (kappa0 + nk)[:, None]
             for j in range(k):
-                diff = shots - xbar[j]
-                s_j = (resp[j][:, None] * diff).T @ diff
+                s_j = _scatter(columns, xbar[j], resp[j], diff, weighted)
                 pull = xbar[j] - m0[j]
                 shrink = kappa0 * nk[j] / (kappa0 + nk[j])
                 covs[j] = (psi0[j] + s_j + shrink * np.outer(pull, pull)) / (
@@ -415,8 +460,7 @@ def fit_gmm(
         else:
             means = xbar
             for j in range(k):
-                diff = shots - means[j]
-                covs[j] = (resp[j][:, None] * diff).T @ diff / nk[j]
+                covs[j] = _scatter(columns, means[j], resp[j], diff, weighted) / nk[j]
 
         collapsed = [j for j in range(k) if _det(covs[j]) < det_floor]
         for j in collapsed:
@@ -550,13 +594,11 @@ def estimate_populations(shots, model, seed: int = 0) -> PopulationEstimate:
     covs = np.asarray(model.covariances)
     k = means.shape[0]
 
-    counts = np.array(
-        [
-            int(np.sum(mahalanobis_sq(shots, means[i], covs[i]) <= 1.0))
-            for i in range(k)
-        ],
-        dtype=float,
-    )
+    # one component at a time: a (k, n) pass holds k times the memory
+    counts = np.empty(k)
+    for i, (mean, cov) in enumerate(zip(means, covs)):
+        _check_component(mean, cov)
+        counts[i] = np.count_nonzero(_quad_form(shots, mean, cov) <= 1.0)
 
     m = correction_matrix(model)
     cond = float(np.linalg.cond(m))

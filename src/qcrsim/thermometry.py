@@ -59,21 +59,23 @@ def gibbs_populations(
 
 
 def normalize_leading(p, k: int = 4) -> np.ndarray:
-    """Renormalize the first k entries of a population vector to sum 1."""
+    """Renormalize the first k entries of a population vector, or of
+    each row of a table, to sum 1."""
     p = np.asarray(p, dtype=float)
-    if not 1 <= k <= p.size:
-        raise ValueError(f"k must lie in [1, {p.size}], got {k}")
-    lead = p[:k]
-    total = lead.sum()
-    if total <= 0:
+    if not 1 <= k <= p.shape[-1]:
+        raise ValueError(f"k must lie in [1, {p.shape[-1]}], got {k}")
+    lead = p[..., :k]
+    total = lead.sum(axis=-1, keepdims=True)
+    if (total <= 0).any():
         raise ValueError("leading populations sum to zero")
     return lead / total
 
 
-def is_monotone_thermal(p, tol: float = 1e-12) -> bool:
-    """True when populations are non-increasing up the ladder."""
-    p = np.asarray(p, dtype=float)
-    return bool(np.all(np.diff(p) <= tol))
+def is_monotone_thermal(p, tol: float = 1e-12):
+    """True when populations are non-increasing up the ladder; for an
+    (n, k) table, a boolean array with one entry per row."""
+    flags = (np.diff(np.asarray(p, dtype=float), axis=-1) <= tol).all(axis=-1)
+    return flags if flags.ndim else bool(flags)
 
 
 @dataclass(frozen=True)
@@ -82,114 +84,167 @@ class GibbsFit:
 
     thermal=False marks inputs with population inversion somewhere up
     the ladder; such vectors carry no temperature (fields are NaN).
+    A fit of one row holds floats; a fit of an (n, k) table holds (n,)
+    arrays, one entry per row.
     """
 
-    temperature: float  # K
-    uncertainty: float  # K, from the residual curvature
-    residual: float  # sum of squared population errors at the minimum
-    truncation: int
-    thermal: bool = True
+    temperature: float | np.ndarray  # K
+    uncertainty: float | np.ndarray  # K, from the residual curvature
+    residual: float | np.ndarray  # sum of squared population errors at the minimum
+    truncation: int | np.ndarray
+    thermal: bool | np.ndarray = True
+
+
+def _rowdot(a, b) -> np.ndarray:
+    # row-wise dot products as a stack of 1 x k by k x 1 products, which
+    # round exactly as the 1-d ``a @ b`` of each row does
+    return (a[:, None, :] @ b[..., None])[:, 0, 0]
+
+
+def _gibbs_derivatives(beta, p, e):
+    # R, R' and R'' of each row at its beta.  q = softmax(-beta e),
+    # u = e - <e>_q:  q' = -q u, q'' = q (u^2 - var u), so
+    # R' = 2 sum d q u with d = p - q and
+    # R'' = 2 sum (q u)^2 - 2 sum d q u u + 2 var u sum d q.
+    w = np.exp(-beta[:, None] * e)
+    total = w.sum(axis=1)
+    q = w / total[:, None]
+    u = e - _rowdot(q, e)[:, None]
+    qu = q * u
+    d = p - q
+    # p_0 - q_0 from 1 - q_0 = sum(w[1:]) / sum(w): when the excited
+    # populations are tiny, p_0 - q_0 rounded near 1 would be noise.
+    d[:, 0] = (p[:, 0] - 1.0) + (total - w[:, 0]) / total
+    r2 = _rowdot(qu, qu) - _rowdot(d, qu * u) + _rowdot(qu, u) * _rowdot(d, q)
+    return _rowdot(d, d), 2.0 * _rowdot(d, qu), 2.0 * r2
 
 
 def fit_gibbs(p_measured, spec: TransmonSpec) -> GibbsFit:
     """Least-squares Gibbs temperature for measured populations.
 
-    The model is the Gibbs distribution q(beta) over the first
-    k = len(p_measured) ladder states, beta = 1/T; the fit minimizes
+    ``p_measured`` is one row of k populations or an (n, k) table of
+    rows; each row is fitted on its own, and a table gives a GibbsFit of
+    (n,) arrays (empty for n = 0).  The model is the Gibbs distribution
+    q(beta) over the first k ladder states, beta = 1/T; the fit minimizes
     R = |p - q|^2 over T in T_BOUNDS.  R'(beta) and R''(beta) are
     analytic, so T is the root of R' found by Newton steps safeguarded by
     bisection of a sign-change bracket, started at the closed-form
     estimate from p_0/p_1; when R' does not change sign in the range the
-    bound it points to is returned exactly.
+    bound it points to is returned exactly.  The rows of a table are
+    solved together, each with its own bracket, until each has met the
+    stopping rule; every row rounds exactly as it does when fitted alone.
 
     ``uncertainty`` is sqrt(2 s^2 / R''(T)) with s^2 = R/(k-1): a
     residual-curvature error that says how well one temperature
     describes the populations, not the shot noise of the readout.
-    Raises ValueError for non-finite, negative or all-zero populations.
+    Raises ValueError for non-finite, negative or all-zero populations,
+    and RuntimeError when the Newton solve does not converge; for a
+    table the message names the 0-based row.
     """
     p = np.asarray(p_measured, dtype=float)
-    if p.ndim != 1 or not 2 <= p.size <= spec.n_levels:
+    table = p.ndim == 2
+    if p.ndim not in (1, 2) or not 2 <= p.shape[-1] <= spec.n_levels:
         raise ValueError(f"need between 2 and {spec.n_levels} populations")
-    if not np.isfinite(p).all():
-        raise ValueError(f"non-finite population {p[~np.isfinite(p)][0]}")
-    if p.min() < -1e-9:
-        raise ValueError(f"negative population {p.min()}")
-    p = np.clip(p, 0.0, None)
-    if p.sum() <= 0:
-        raise ValueError("populations sum to zero")
-    p = p / p.sum()
+    rows = p if table else p[None]
+    n, k = rows.shape
 
-    if not is_monotone_thermal(p):
-        return GibbsFit(math.nan, math.nan, math.nan, p.size, thermal=False)
+    def fail(error, message, i):
+        raise error(message + (f" in row {i}" if table else ""))
 
-    k = p.size
+    finite = np.isfinite(rows)
+    if not finite.all():
+        i = np.flatnonzero(~finite.all(axis=1))[0]
+        fail(ValueError, f"non-finite population {rows[i][~finite[i]][0]}", i)
+    low = rows.min(axis=1)
+    if (low < -1e-9).any():
+        i = np.flatnonzero(low < -1e-9)[0]
+        fail(ValueError, f"negative population {low[i]}", i)
+    rows = np.clip(rows, 0.0, None)
+    total = rows.sum(axis=1)
+    if (total <= 0).any():
+        fail(ValueError, "populations sum to zero", np.flatnonzero(total <= 0)[0])
+    rows = rows / total[:, None]
+
+    temperature = np.full(n, math.nan)
+    uncertainty = np.full(n, math.nan)
+    residual = np.full(n, math.nan)
+    thermal = is_monotone_thermal(rows)
+    idx = np.flatnonzero(thermal)
+    p = rows[idx]
     e = H_OVER_KB * transmon_energies(spec)[:k]  # K, e[0] = 0
 
-    def derivatives(beta: float):
-        # q = softmax(-beta e), u = e - <e>_q:  q' = -q u,
-        # q'' = q (u^2 - var u), so R' = 2 sum d q u with d = p - q and
-        # R'' = 2 sum (q u)^2 - 2 sum d q u u + 2 var u sum d q.
-        w = np.exp(-beta * e)
-        total = w.sum()
-        q = w / total
-        u = e - q @ e
-        qu = q * u
-        d = p - q
-        # p_0 - q_0 from 1 - q_0 = sum(w[1:]) / sum(w): when the excited
-        # populations are tiny, p_0 - q_0 rounded near 1 would be noise.
-        d[0] = (p[0] - 1.0) + (total - w[0]) / total
-        r2 = qu @ qu - d @ (qu * u) + (qu @ u) * (d @ q)
-        return d @ d, 2.0 * (d @ qu), 2.0 * r2
-
     lo, hi = 1.0 / T_BOUNDS[1], 1.0 / T_BOUNDS[0]
-    beta = math.log(p[0] / p[1]) / e[1] if p[1] > 0 else hi
-    beta = min(max(beta, lo), hi)
-    r_min, r1, r2 = derivatives(beta)
+    # math.log rounds as the scalar fit always has; np.log can differ by an ulp
+    beta = np.array(
+        [
+            math.log(p0 / p1) / e[1] if p1 > 0 else hi
+            for p0, p1 in p[:, :2].tolist()
+        ]
+    )
+    beta = np.minimum(np.maximum(beta, lo), hi)
+    r_min, r1, r2 = _gibbs_derivatives(beta, p, e)
     # The minimum lies downhill of the start: inside the bracket it forms
     # with the bound on that side, or at that bound when R' keeps its
     # sign all the way there.
-    edge = lo if r1 > 0 else hi
-    at_edge = derivatives(edge) if edge != beta else (r_min, r1, r2)
-    if r1 != 0 and (at_edge[1] == 0 or (at_edge[1] > 0) == (r1 > 0)):
-        beta, (r_min, r1, r2) = edge, at_edge
-    else:
-        # Newton on R' inside the sign-change bracket; a step that leaves
-        # the bracket or does not halve the previous one is replaced by
-        # bisection.  Stop once the Newton step or the bracket is below
-        # GIBBS_XTOL of beta, or a step below GIBBS_NOISE fails to halve:
-        # R' is then at its rounding noise (nearly uniform populations),
-        # and bisecting a one-sided bracket would only wander off.
-        lo, hi = min(beta, edge), max(beta, edge)
-        last_step = hi - lo
-        for _ in range(GIBBS_MAX_ITER):
-            step = r1 / r2 if r2 > 0 else math.inf
-            stalled = abs(step) > 0.5 * abs(last_step)
-            tol = GIBBS_NOISE if stalled else GIBBS_XTOL
-            if min(abs(step), hi - lo) <= tol * beta:
-                break
-            if stalled or not lo < beta - step < hi:
-                step = beta - 0.5 * (lo + hi)
-            beta -= step
-            last_step = step
-            r_min, r1, r2 = derivatives(beta)
-            if r1 < 0:
-                lo = beta
-            else:
-                hi = beta
-        else:
-            raise RuntimeError(f"Gibbs fit did not converge for populations {p}")
+    edge = np.where(r1 > 0, lo, hi)
+    at_edge = _gibbs_derivatives(edge, p, e)
+    to_edge = (r1 != 0) & ((at_edge[1] == 0) | ((at_edge[1] > 0) == (r1 > 0)))
+    beta = np.where(to_edge, edge, beta)
+    r_min, r1, r2 = (
+        np.where(to_edge, x, y) for x, y in zip(at_edge, (r_min, r1, r2))
+    )
 
-    t_hat = float(1.0 / beta)
+    # Newton on R' inside each row's sign-change bracket; a step that
+    # leaves the bracket or does not halve the previous one is replaced by
+    # bisection.  A row stops once its Newton step or bracket is below
+    # GIBBS_XTOL of beta, or a step below GIBBS_NOISE fails to halve: R'
+    # is then at its rounding noise (nearly uniform populations), and
+    # bisecting a one-sided bracket would only wander off.
+    lo, hi = np.minimum(beta, edge), np.maximum(beta, edge)
+    last_step = hi - lo
+    a = np.flatnonzero(~to_edge)  # rows still iterating
+    for _ in range(GIBBS_MAX_ITER):
+        b, r1a, r2a = beta[a], r1[a], r2[a]
+        step = np.divide(r1a, r2a, out=np.full(a.size, math.inf), where=r2a > 0)
+        stalled = np.abs(step) > 0.5 * np.abs(last_step[a])
+        tol = np.where(stalled, GIBBS_NOISE, GIBBS_XTOL)
+        go = ~(np.minimum(np.abs(step), hi[a] - lo[a]) <= tol * b)
+        a, b, step, stalled = a[go], b[go], step[go], stalled[go]
+        if not a.size:
+            break
+        lo_a, hi_a = lo[a], hi[a]
+        inside = (lo_a < b - step) & (b - step < hi_a)
+        step = np.where(stalled | ~inside, b - 0.5 * (lo_a + hi_a), step)
+        beta[a] = b = b - step
+        last_step[a] = step
+        r_min[a], r1[a], r2[a] = _gibbs_derivatives(b, p[a], e)
+        down = r1[a] < 0
+        lo[a[down]] = b[down]
+        hi[a[~down]] = b[~down]
+    else:
+        if a.size:
+            i = idx[a[0]]
+            message = f"Gibbs fit did not converge for populations {rows[i]}"
+            fail(RuntimeError, message, i)
+
+    temperature[idx] = 1.0 / beta
+    residual[idx] = r_min
     # curvature-based 1-sigma: var = 2 s^2 / R''(T), s^2 = R/(k-1), with
-    # d2R/dT2 = beta^4 R''(beta) + 2 beta^3 R'(beta)
-    r_pp = beta**4 * r2 + 2.0 * beta**3 * r1
-    if r_pp > 0:
-        dof = max(k - 1, 1)
-        sigma = math.sqrt(max(2.0 * (r_min / dof) / r_pp, 0.0))
-    else:
-        sigma = math.inf
+    # d2R/dT2 = beta^4 R''(beta) + 2 beta^3 R'(beta).  Per row in Python:
+    # libm pow and NumPy's power can differ in the last bit.
+    dof = max(k - 1, 1)
+    for i, b, r, d1, d2 in zip(*(x.tolist() for x in (idx, beta, r_min, r1, r2))):
+        r_pp = b**4 * d2 + 2.0 * b**3 * d1
+        uncertainty[i] = (
+            math.sqrt(max(2.0 * (r / dof) / r_pp, 0.0)) if r_pp > 0 else math.inf
+        )
 
-    return GibbsFit(t_hat, sigma, float(r_min), k, thermal=True)
+    if not table:
+        return GibbsFit(
+            float(temperature[0]), float(uncertainty[0]), float(residual[0]), k,
+            thermal=bool(thermal[0]),
+        )
+    return GibbsFit(temperature, uncertainty, residual, np.full(n, k), thermal=thermal)
 
 
 @dataclass(frozen=True)

@@ -300,6 +300,43 @@ class TestFitAndThermo:
         assert float(summary["t0_K"]) == pytest.approx(0.110, abs=0.002)
         assert summary["saturated_within_window"] == "false"
 
+    def test_thermo_short_time_table_reports_nan_saturation(self, tmp_path):
+        """Two thermal rows among five: the per-row table is still written."""
+        from qcrsim.system import TransmonSpec
+        from qcrsim.thermometry import gibbs_populations, normalize_leading
+
+        thermal = [
+            normalize_leading(gibbs_populations(temp, TransmonSpec()), 4)
+            for temp in (0.11, 0.2)
+        ]
+        inverted = [np.array([0.2, 0.5, 0.2, 0.1])] * 3
+        lines = ["t_ns,p0,p1,p2,p3"]
+        for t, p in zip((0.0, 50.0, 100.0, 150.0, 200.0), thermal + inverted):
+            lines.append(",".join([repr(t)] + [repr(float(x)) for x in p]))
+        src = tmp_path / "pops.csv"
+        src.write_text("\n".join(lines) + "\n")
+
+        assert main(
+            ["thermo", "--populations", str(src), "--outdir", str(tmp_path)]
+        ) == 0
+        _, rows, comments = read_rows(tmp_path / "thermo.csv")
+        assert rows.shape == (5, 4)
+        assert rows[:2, 1] == pytest.approx([110.0, 200.0], rel=1e-9)
+        assert np.isnan(rows[2:, 1:3]).all()
+        summary = dict(c.split(" = ") for c in comments)
+        for key in ("t0_K", "a_K", "tau_ns", "fit_residual"):
+            assert summary[key] == "nan  # fewer than 4 thermal samples"
+        assert summary["saturated_within_window"] == "false"
+
+    def test_thermo_error_names_file_and_row(self, tmp_path, capsys):
+        src = tmp_path / "pops.csv"
+        src.write_text("p0,p1,p2,p3\n0.8,0.15,0.04,0.01\nnan,0.1,0.05,0.01\n")
+        assert main(
+            ["thermo", "--populations", str(src), "--outdir", str(tmp_path)]
+        ) == 1
+        err = capsys.readouterr().err
+        assert f"{src}: non-finite population nan in row 1" in err
+
 
 class TestOtto:
     def test_csv_and_summary(self, tmp_path):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import mpmath
 import numpy as np
@@ -8,9 +9,14 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.optimize import least_squares, minimize_scalar
 
+from qcrsim import thermometry
+from qcrsim.cli import main
 from qcrsim.constants import H_OVER_KB
 from qcrsim.system import TransmonSpec, transmon_energies
 from qcrsim.thermometry import (
+    GIBBS_MAX_ITER,
+    GIBBS_NOISE,
+    GIBBS_XTOL,
     T_BOUNDS,
     GibbsFit,
     SaturationFit,
@@ -106,16 +112,18 @@ def bounded_search_fit(p, spec):
 
 
 @st.composite
-def thermal_populations(draw):
-    """Non-increasing population vectors of 2 to 6 states: either sorted
-    arbitrary weights or a Gibbs vector with relative noise, sorted.
+def thermal_populations(draw, k=None):
+    """Non-increasing population vectors of k states (k drawn from 2 to 6
+    when not given): either sorted arbitrary weights or a Gibbs vector
+    with relative noise, sorted.
 
     Entries below 1e-8 of the largest are set to zero.  Below that the
     least-squares T is decided by the rounding of p_0: for p = [1, 1e-14]
     one ulp of p_0 moves the exact minimum by 1.7e-4 of T, so no double
     precision fit can be held to 1e-6 there.
     """
-    k = draw(st.integers(min_value=2, max_value=6))
+    if k is None:
+        k = draw(st.integers(min_value=2, max_value=6))
     if draw(st.booleans()):
         weights = np.array(
             draw(
@@ -132,6 +140,193 @@ def thermal_populations(draw):
         )
     weights[weights < 1e-8 * weights.max()] = 0.0
     return sorted(weights, reverse=True)
+
+
+def scalar_fit_gibbs(p_measured, spec):
+    """fit_gibbs of one row, solved on its own with Python floats: the
+    reference the batched fit must equal bit for bit."""
+    p = np.asarray(p_measured, dtype=float)
+    if p.ndim != 1 or not 2 <= p.size <= spec.n_levels:
+        raise ValueError(f"need between 2 and {spec.n_levels} populations")
+    if not np.isfinite(p).all():
+        raise ValueError(f"non-finite population {p[~np.isfinite(p)][0]}")
+    if p.min() < -1e-9:
+        raise ValueError(f"negative population {p.min()}")
+    p = np.clip(p, 0.0, None)
+    if p.sum() <= 0:
+        raise ValueError("populations sum to zero")
+    p = p / p.sum()
+
+    if not is_monotone_thermal(p):
+        return GibbsFit(math.nan, math.nan, math.nan, p.size, thermal=False)
+
+    k = p.size
+    e = H_OVER_KB * transmon_energies(spec)[:k]  # K, e[0] = 0
+
+    def derivatives(beta: float):
+        # q = softmax(-beta e), u = e - <e>_q:  q' = -q u,
+        # q'' = q (u^2 - var u), so R' = 2 sum d q u with d = p - q and
+        # R'' = 2 sum (q u)^2 - 2 sum d q u u + 2 var u sum d q.
+        w = np.exp(-beta * e)
+        total = w.sum()
+        q = w / total
+        u = e - q @ e
+        qu = q * u
+        d = p - q
+        # p_0 - q_0 from 1 - q_0 = sum(w[1:]) / sum(w): when the excited
+        # populations are tiny, p_0 - q_0 rounded near 1 would be noise.
+        d[0] = (p[0] - 1.0) + (total - w[0]) / total
+        r2 = qu @ qu - d @ (qu * u) + (qu @ u) * (d @ q)
+        return d @ d, 2.0 * (d @ qu), 2.0 * r2
+
+    lo, hi = 1.0 / T_BOUNDS[1], 1.0 / T_BOUNDS[0]
+    beta = math.log(p[0] / p[1]) / e[1] if p[1] > 0 else hi
+    beta = min(max(beta, lo), hi)
+    r_min, r1, r2 = derivatives(beta)
+    # The minimum lies downhill of the start: inside the bracket it forms
+    # with the bound on that side, or at that bound when R' keeps its
+    # sign all the way there.
+    edge = lo if r1 > 0 else hi
+    at_edge = derivatives(edge) if edge != beta else (r_min, r1, r2)
+    if r1 != 0 and (at_edge[1] == 0 or (at_edge[1] > 0) == (r1 > 0)):
+        beta, (r_min, r1, r2) = edge, at_edge
+    else:
+        # Newton on R' inside the sign-change bracket; a step that leaves
+        # the bracket or does not halve the previous one is replaced by
+        # bisection.  Stop once the Newton step or the bracket is below
+        # GIBBS_XTOL of beta, or a step below GIBBS_NOISE fails to halve:
+        # R' is then at its rounding noise (nearly uniform populations),
+        # and bisecting a one-sided bracket would only wander off.
+        lo, hi = min(beta, edge), max(beta, edge)
+        last_step = hi - lo
+        for _ in range(GIBBS_MAX_ITER):
+            step = r1 / r2 if r2 > 0 else math.inf
+            stalled = abs(step) > 0.5 * abs(last_step)
+            tol = GIBBS_NOISE if stalled else GIBBS_XTOL
+            if min(abs(step), hi - lo) <= tol * beta:
+                break
+            if stalled or not lo < beta - step < hi:
+                step = beta - 0.5 * (lo + hi)
+            beta -= step
+            last_step = step
+            r_min, r1, r2 = derivatives(beta)
+            if r1 < 0:
+                lo = beta
+            else:
+                hi = beta
+        else:
+            raise RuntimeError(f"Gibbs fit did not converge for populations {p}")
+
+    t_hat = float(1.0 / beta)
+    # curvature-based 1-sigma: var = 2 s^2 / R''(T), s^2 = R/(k-1), with
+    # d2R/dT2 = beta^4 R''(beta) + 2 beta^3 R'(beta)
+    r_pp = beta**4 * r2 + 2.0 * beta**3 * r1
+    if r_pp > 0:
+        dof = max(k - 1, 1)
+        sigma = math.sqrt(max(2.0 * (r_min / dof) / r_pp, 0.0))
+    else:
+        sigma = math.inf
+
+    return GibbsFit(t_hat, sigma, float(r_min), k, thermal=True)
+
+
+def assert_rows_equal_scalar(table, spec):
+    """Every row of the batched fit of ``table`` equals scalar_fit_gibbs
+    of that row bit for bit (NaN equal to NaN)."""
+    fit = fit_gibbs(table, spec)
+    for i, row in enumerate(table):
+        want = scalar_fit_gibbs(row, spec)
+        got = (
+            fit.temperature[i], fit.uncertainty[i], fit.residual[i],
+            fit.truncation[i], fit.thermal[i],
+        )
+        assert np.array_equal(got, astuple(want), equal_nan=True), (i, row)
+
+
+@st.composite
+def population_tables(draw):
+    """(n, k) tables, k = 2 to 6, whose rows mix thermal vectors, rows
+    in any order (mostly non-monotone), the boundary rows e_0 and
+    uniform, and sorted rows with a zero tail."""
+    k = draw(st.integers(min_value=2, max_value=6))
+    weights = st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k).filter(
+        lambda w: sum(w) > 0
+    )
+    zero_tail = st.tuples(weights, st.integers(1, k - 1)).map(
+        lambda wz: sorted(wz[0], reverse=True)[: k - wz[1]] + [0.0] * wz[1]
+    ).filter(lambda w: sum(w) > 0)
+    row = st.one_of(
+        thermal_populations(k),
+        weights,
+        st.just(list(np.eye(k)[0])),
+        st.just([1.0 / k] * k),
+        zero_tail,
+    )
+    return np.array(draw(st.lists(row, min_size=1, max_size=8)), dtype=float)
+
+
+class TestBatchFit:
+    def test_equals_scalar_on_fig4b_rows(self, transmon, tmp_path):
+        assert main(["pipeline", "fig4b", "--outdir", str(tmp_path)]) == 0
+        table = np.vstack(
+            [
+                np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)[:, 1:]
+                for path in sorted(tmp_path.glob("temps_*.csv"))
+            ]
+        )
+        assert table.shape == (363, 4)
+        assert_rows_equal_scalar(table, transmon)
+
+    @settings(max_examples=150, deadline=None)
+    @given(population_tables())
+    def test_equals_scalar_on_mixed_tables(self, table):
+        assert_rows_equal_scalar(table, TransmonSpec())
+
+    def test_row_fit_returns_python_scalars(self, transmon):
+        fit = fit_gibbs(gibbs_populations(0.2, transmon, truncation=4), transmon)
+        assert type(fit.temperature) is float and type(fit.uncertainty) is float
+        assert type(fit.residual) is float and type(fit.truncation) is int
+        assert fit.thermal is True
+
+    def test_table_fit_returns_arrays(self, transmon):
+        table = np.array([[0.3, 0.5, 0.15, 0.05], [0.7, 0.2, 0.07, 0.03]])
+        fit = fit_gibbs(table, transmon)
+        for value in astuple(fit):
+            assert isinstance(value, np.ndarray) and value.shape == (2,)
+        assert fit.thermal.tolist() == [False, True]
+        assert fit.truncation.tolist() == [4, 4]
+        assert math.isnan(fit.temperature[0]) and fit.temperature[1] > 0
+
+    def test_empty_table_gives_empty_arrays(self, transmon):
+        fit = fit_gibbs(np.empty((0, 4)), transmon)
+        for value in astuple(fit):
+            assert isinstance(value, np.ndarray) and value.shape == (0,)
+
+    @pytest.mark.parametrize("shape", [(3, 1), (3, 7), (2, 2, 4), ()])
+    def test_rejects_bad_shapes(self, transmon, shape):
+        with pytest.raises(ValueError, match="populations"):
+            fit_gibbs(np.full(shape, 0.25), transmon)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ([math.nan, 0.1, 0.05, 0.01], "non-finite population nan in row 1"),
+            ([0.5, 0.3, -0.2, 0.0], "negative population -0.2 in row 1"),
+            ([0.0, 0.0, 0.0, 0.0], "populations sum to zero in row 1"),
+        ],
+    )
+    def test_bad_row_is_named(self, transmon, bad, message):
+        good = [0.8, 0.15, 0.04, 0.01]
+        with pytest.raises(ValueError, match=message):
+            fit_gibbs(np.array([good, bad, good]), transmon)
+
+    def test_non_convergence_names_the_row(self, transmon, monkeypatch):
+        # uniform rows return the bound without a Newton step; row 1 needs
+        # more than one
+        monkeypatch.setattr(thermometry, "GIBBS_MAX_ITER", 1)
+        table = np.array([[0.25] * 4, [0.7, 0.2, 0.07, 0.03], [0.25] * 4])
+        with pytest.raises(RuntimeError, match="did not converge .* in row 1"):
+            fit_gibbs(table, transmon)
 
 
 class TestFitGibbs:
@@ -158,13 +353,18 @@ class TestFitGibbs:
     @given(thermal_populations())
     def test_agrees_with_bounded_search(self, p):
         spec = TransmonSpec()
+        k = len(p)
+        # the row alone and as the middle row of a table
+        table = np.array([np.eye(k)[0], p, np.full(k, 1.0 / k)])
+        t_table = fit_gibbs(table, spec).temperature[1]
         fit = fit_gibbs(p, spec)
         t_oracle, residual = bounded_search_fit(p, spec)
-        assert fit.temperature == pytest.approx(t_oracle, rel=1e-6)
         r_oracle = residual(t_oracle)
-        # q_n in double precision carries an absolute error of about eps,
-        # which leaves R undetermined at the level (k eps)^2 ~ 1e-30
-        assert residual(fit.temperature) <= r_oracle + 1e-30
+        for t in (fit.temperature, t_table):
+            assert t == pytest.approx(t_oracle, rel=1e-6)
+            # q_n in double precision carries an absolute error of about
+            # eps, which leaves R undetermined at the level (k eps)^2 ~ 1e-30
+            assert residual(t) <= r_oracle + 1e-30
 
     def test_uncertainty_is_residual_curvature(self, transmon):
         """sigma^2 = 2 (R/(k-1)) / R''(T), R'' by central difference."""
