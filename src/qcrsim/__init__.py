@@ -2,8 +2,8 @@
 
 Modules
 -------
-system      transmon/resonator specs, Hamiltonian, dressed spectra
-qcr         NIS-junction physics: Dynes DOS, tunneling rates, IV analysis
+system      transmon ladder and resonator specs, ladder frequencies
+qcr         NIS-junction physics: Dynes DOS, spectral function, tunneling rates
 dynamics    Lindblad evolution of the ladder under the biased junction
 readout     IQ shot synthesis, Gaussian-mixture fits, population recovery
 thermometry Gibbs / saturation / heating-slope fits
@@ -34,15 +34,11 @@ from .dynamics import (
 from .otto import OttoResult, OttoSpec, frequency_efficiency, run_cycle
 from .qcr import (
     CouplingSpec,
-    DynesFit,
     JunctionSpec,
-    NoGapError,
     RatePair,
     RateTable,
     dynes_dos,
     effective_temperature,
-    extract_dynes,
-    nis_current,
     transition_rates,
     tunnel_spectral_fn,
 )
@@ -63,13 +59,8 @@ from .readout import (
 from .seeding import named_rng
 from .system import (
     ResonatorSpec,
-    Spectrum,
     SystemSpec,
     TransmonSpec,
-    build_hamiltonian,
-    diagonalize,
-    dispersive_shift,
-    readout_pull,
     transition_frequencies,
     transmon_energies,
 )

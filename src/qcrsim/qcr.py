@@ -54,10 +54,6 @@ _GK_X, _GK_WK, _GK_WG = np.vstack([_GK_HALF * [-1, 1, 1], _GK_HALF[-2::-1]]).T
 KAPPA_EFF_DEFAULT = 0.3437
 
 
-class NoGapError(ValueError):
-    """IV curve shows no superconducting gap structure."""
-
-
 @dataclass(frozen=True)
 class JunctionSpec:
     """Dynes-broadened NIS junction.
@@ -69,8 +65,6 @@ class JunctionSpec:
     gamma_d : float
         Dimensionless Dynes broadening (ratio of sub-gap to normal-state
         conductance).
-    r_t : float
-        Tunneling resistance in kOhm.
     t_n : float
         Quasiparticle temperature of the normal electrode in K, used for
         both Fermi occupations.
@@ -78,7 +72,6 @@ class JunctionSpec:
 
     delta: float = 0.215
     gamma_d: float = 2.3e-3
-    r_t: float = 13.8
     t_n: float = 0.1
 
     def __post_init__(self):
@@ -86,8 +79,6 @@ class JunctionSpec:
             raise ValueError(f"delta must be positive and finite, got {self.delta}")
         if not 0.0 < self.gamma_d < 1.0:
             raise ValueError(f"gamma_d must lie in (0, 1), got {self.gamma_d}")
-        if not 0.0 < self.r_t < math.inf:
-            raise ValueError(f"r_t must be positive and finite, got {self.r_t}")
         if not 0.0 < self.t_n < math.inf:
             raise ValueError(f"t_n must be positive and finite, got {self.t_n}")
 
@@ -336,46 +327,6 @@ def tunnel_spectral_fn(e, v: float, junction: JunctionSpec):
     return values.reshape(energies.shape)
 
 
-def nis_current(v, junction: JunctionSpec):
-    """DC tunneling current through the junction, in nA.
-
-    I(V) = (1/(e R_T)) * integral deps n_S(eps) [f(eps - eV) - f(eps)]
-
-    Odd in V; ohmic (I = V/R_T) far beyond the gap; suppressed to
-    O(gamma_d) inside it.
-
-    Parameters
-    ----------
-    v : float or array
-        Bias voltage in mV.  An array is integrated as one batch, with
-        the same values as one at a time.
-    junction : JunctionSpec
-
-    Raises
-    ------
-    ValueError
-        If v is NaN or infinite.
-    """
-    biases = _finite("bias v", v)
-    delta = junction.delta
-    beta = delta / (KB_MEV_PER_K * junction.t_n)
-    u = biases.ravel() / delta
-    gamma_d = junction.gamma_d
-
-    def integrand(x, k):
-        return dynes_dos(x, gamma_d) * (
-            _occupation(beta * (x - u[k][:, None])) - _occupation(beta * x)
-        )
-
-    knots = [_knots(INTEGRATION_HALFWIDTH + abs(ui), (0.0, ui), beta) for ui in u]
-    values = _gauss_kronrod(integrand, knots, lambda i: f"V = {biases.flat[i]} mV")
-    # integral is in units of Delta; Delta[meV]/R_T[kOhm] = 1e-6 A = 1000 nA
-    current = 1000.0 * delta * values / junction.r_t
-    if np.isscalar(v):
-        return float(current[0])
-    return current.reshape(biases.shape)
-
-
 def purcell_factor(system: SystemSpec, omega: float) -> float:
     """Reset-resonator filter factor g1^2/(omega - omega_1)^2."""
     g1 = system.reset_resonator.g
@@ -453,102 +404,3 @@ def effective_temperature(gamma_down: float, gamma_up: float, omega: float) -> f
     if log_ratio == 0.0:
         return math.inf
     return H_OVER_KB * omega / log_ratio
-
-
-@dataclass(frozen=True)
-class DynesFit:
-    """Gap parameters extracted from an IV curve."""
-
-    delta: float  # meV
-    gamma_d: float  # dimensionless
-    r_inside: float  # kOhm, linear fit inside the gap
-    r_outside: float  # kOhm, linear fit outside the gap
-    v_edge_pos: float  # mV, maximum-slope edge at positive bias
-    v_edge_neg: float  # mV, maximum-slope edge at negative bias
-
-
-def _ols_slope(v: np.ndarray, i: np.ndarray) -> float:
-    a = np.vstack([v, np.ones_like(v)]).T
-    sol, *_ = np.linalg.lstsq(a, i, rcond=None)
-    return float(sol[0])
-
-
-def extract_dynes(iv_curve) -> DynesFit:
-    """Gap halfwidth and Dynes parameter from a measured IV curve.
-
-    The gap is located by the maximum of |dI/dV| on each bias side
-    (plateau-edge detection); gamma_d is the ratio of the linear-fit
-    slopes well inside (|V| < 0.5 Delta/e) and well outside
-    (|V| > 1.5 Delta/e) the plateau.
-
-    Parameters
-    ----------
-    iv_curve : array-like
-        (N, 2) array of (V in mV, I in nA), N >= 50, spanning beyond
-        +-2 Delta/e.
-
-    Raises
-    ------
-    NoGapError
-        If the curve shows no plateau (slope ratio > 0.5), e.g. an ohmic
-        line.
-    ValueError
-        If the curve is too short or does not span the gap.
-    """
-    data = np.asarray(iv_curve, dtype=float)
-    if data.ndim != 2 or data.shape[1] != 2:
-        raise ValueError(f"expected an (N, 2) IV array, got shape {data.shape}")
-    if data.shape[0] < 50:
-        raise ValueError(f"need at least 50 IV points, got {data.shape[0]}")
-
-    order = np.argsort(data[:, 0])
-    v, i = data[order, 0], data[order, 1]
-    didv = np.gradient(i, v)
-
-    pos = v > 0
-    neg = v < 0
-    if not pos.any() or not neg.any():
-        raise ValueError("IV curve must cover both bias signs")
-
-    # an edge has to stand out of the background conductance; an ohmic
-    # line has a flat |dI/dV| and therefore no plateau to bound
-    background = float(np.median(np.abs(didv)))
-    if background > 0 and float(np.abs(didv).max()) < 2.0 * background:
-        raise NoGapError("no conductance peak above the ohmic background")
-
-    v_edge_pos = float(v[pos][np.argmax(np.abs(didv[pos]))])
-    v_edge_neg = float(v[neg][np.argmax(np.abs(didv[neg]))])
-    delta = 0.5 * (v_edge_pos - v_edge_neg)  # halfwidth; mV -> meV for e*V
-
-    if delta <= 0:
-        raise NoGapError("edge detection found no positive plateau halfwidth")
-    if v.max() < 2.0 * delta or v.min() > -2.0 * delta:
-        raise ValueError(
-            f"IV curve must span beyond +-2 Delta/e = {2 * delta:.3f} mV"
-        )
-
-    inside = np.abs(v) < 0.5 * delta
-    outside = np.abs(v) > 1.5 * delta
-    if inside.sum() < 2 or outside.sum() < 2:
-        raise ValueError("not enough points inside/outside the gap for slopes")
-
-    slope_in = _ols_slope(v[inside], i[inside])
-    slope_out = _ols_slope(v[outside], i[outside])
-    if slope_out <= 0:
-        raise NoGapError("outside-gap branch has nonpositive conductance")
-    gamma_d = slope_in / slope_out
-
-    if gamma_d > 0.5:
-        raise NoGapError(
-            f"sub-gap to normal conductance ratio {gamma_d:.3f} shows no gap"
-        )
-
-    # slope is nA/mV, so R[kOhm] = 1000/slope
-    return DynesFit(
-        delta=delta,
-        gamma_d=gamma_d,
-        r_inside=1000.0 / slope_in if slope_in > 0 else math.inf,
-        r_outside=1000.0 / slope_out,
-        v_edge_pos=v_edge_pos,
-        v_edge_neg=v_edge_neg,
-    )

@@ -1,10 +1,10 @@
 """Independent high-precision oracle for the junction integrals.
 
-Recomputes the golden-rule spectral function and the DC tunneling
-current with mpmath adaptive quadrature at 30 significant digits,
-using only the definitions (Dynes density of states, Fermi factors)
-and the package's unit pins.  Run this script to regenerate the
-frozen values asserted in tests/test_qcr.py.
+Recomputes the golden-rule spectral function with mpmath adaptive
+quadrature at 30 significant digits, using only the definitions (Dynes
+density of states, Fermi factors) and the package's unit pins.  Run
+this script to regenerate the frozen values asserted in
+tests/test_qcr.py.
 """
 import mpmath as mp
 
@@ -16,7 +16,6 @@ KB_MEV_PER_K = H_MEV_PER_GHZ / H_OVER_KB
 
 DELTA = mp.mpf("0.215")      # meV
 GAMMA_D = mp.mpf("2.3e-3")
-R_T = mp.mpf("13.8")         # kOhm
 T_N = mp.mpf("0.1")          # K
 LIM = mp.mpf(30)
 
@@ -48,19 +47,6 @@ def spectral(e_mev, v_mv):
     return mp.quad(f, knots)
 
 
-def current(v_mv):
-    beta = DELTA / (KB_MEV_PER_K * T_N)
-    u = mp.mpf(v_mv) / DELTA
-
-    def f(x):
-        return dynes(x) * (fermi(beta * (x - u)) - fermi(beta * x))
-
-    lim = LIM + abs(u)
-    pts = sorted({p for p in (-1, 1, mp.mpf(0), u) if -lim < p < lim})
-    knots = [-lim] + list(pts) + [lim]
-    return 1000 * DELTA * mp.quad(f, knots) / R_T
-
-
 if __name__ == "__main__":
     e_ge = H_MEV_PER_GHZ * mp.mpf("4.09")     # g<->e photon at the design point
     e_ef = H_MEV_PER_GHZ * mp.mpf("3.817")    # e<->f photon (anharmonic ladder)
@@ -71,8 +57,4 @@ if __name__ == "__main__":
     for e, v in pins + [(e_ge, "10.0")]:
         val = spectral(e, v)
         print(f'    ({mp.nstr(e, 17)!r}, {v!r}): "{mp.nstr(val, 17)}",')
-    print("}")
-    print("CURRENT = {")
-    for v in ("0.05", "0.215", "0.3", "1.0"):
-        print(f'    {v!r}: "{mp.nstr(current(v), 17)}",')
     print("}")

@@ -483,11 +483,53 @@ class TestPipelines:
 
     def test_bad_config_key_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("junction.rt = 10\n")
+        cfg.write_text("junction.tn = 0.2\n")
         assert main(
             ["pipeline", str(cfg), "--outdir", str(tmp_path)]
         ) == 2
-        assert "junction.r_t" in capsys.readouterr().err
+        assert "junction.t_n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key", ["reset.n_levels", "readout.n_levels", "junction.r_t"]
+    )
+    def test_removed_config_key_exits_2(self, tmp_path, capsys, key):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{key} = 4\n")
+        assert main(
+            ["pipeline", str(cfg), "--outdir", str(tmp_path / "out")]
+        ) == 2
+        err = capsys.readouterr().err
+        assert f"unknown key {key!r} (nearest valid key: '" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # top transition omega_ge + 15 alpha = -0.005 GHz
+            "transmon.n_levels = 17\n",
+            # dispersive at g-e, degenerate with the e-f transition
+            "reset.omega = 3.817\nreset.g = 0.01\n",
+            "reset.omega = 3.8169999999999997\nreset.g = 0.01\n",
+            "transmon.alpha = -1e-3\ntransmon.n_levels = 257\n",
+            "transmon.alpha = -1e-9\ntransmon.n_levels = 1000000000\n",
+        ],
+        ids=["top-negative", "near-e-f", "on-e-f", "257-levels", "1e9-levels"],
+    )
+    def test_system_outside_rate_model_exits_2(self, tmp_path, capsys, text):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        assert main(
+            ["pipeline", str(cfg), "--outdir", str(tmp_path / "out")]
+        ) == 2
+        assert "system block invalid" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_level_cap_boundary_runs(self, tmp_path):
+        cfg = tmp_path / "edge.cfg"
+        cfg.write_text("transmon.alpha = -1e-3\ntransmon.n_levels = 256\n")
+        assert main(
+            ["rates", "--bias", "0.0", "--config", str(cfg), "--outdir", str(tmp_path)]
+        ) == 0
 
 
 def _child_env():

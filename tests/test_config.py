@@ -23,17 +23,14 @@ geometry.separation = 3.0
 geometry.sigma = 1.0
 junction.delta = 0.215
 junction.gamma_d = 0.0023
-junction.r_t = 13.8
 junction.t_n = 0.1
 pulse.amplitude = 1.2
 pulse.dc_offset = 0.0
 pulse.duration = 100.0
 pulse.period = 10.0
 readout.g = 0.0704
-readout.n_levels = 4
 readout.omega = 7.44
 reset.g = 0.0596
-reset.n_levels = 4
 reset.omega = 4.67
 run.outdir = out
 run.seed = 0
@@ -102,7 +99,7 @@ class TestExperimentConfig:
     def test_block_accessors_build_specs(self):
         cfg = ExperimentConfig()
         assert cfg.as_system().transmon.omega_ge == 4.09
-        assert cfg.as_junction().r_t == 13.8
+        assert cfg.as_junction().t_n == 0.1
         assert cfg.as_coupling().purcell_filter is True
         assert cfg.as_pulse().amplitude == 1.2
         assert cfg.as_readout_model().n_components == 4
@@ -177,6 +174,6 @@ class TestEchoRoundTrip:
 
     def test_load_strict_file(self, tmp_path):
         path = tmp_path / "bad.txt"
-        path.write_text("junction.rt = 10\n")
-        with pytest.raises(ConfigError, match="junction.r_t"):
+        path.write_text("junction.tn = 0.2\n")
+        with pytest.raises(ConfigError, match="junction.t_n"):
             load_config(path)

@@ -13,11 +13,8 @@ from qcrsim.constants import H_MEV_PER_GHZ, H_OVER_KB, KB_MEV_PER_K
 from qcrsim.qcr import (
     JunctionSpec,
     CouplingSpec,
-    NoGapError,
     dynes_dos,
     effective_temperature,
-    extract_dynes,
-    nis_current,
     purcell_factor,
     transition_rates,
     tunnel_spectral_fn,
@@ -39,13 +36,6 @@ SPECTRAL_ORACLE = {
     (3.817, 0.6): 2.6837378610388462,
     (3.817, 1.2): 5.5656800713090086,
     (4.09, 10.0): 46.579568661890349,  # Fermi edge beyond 30 Delta
-}
-
-CURRENT_ORACLE = {  # mV -> nA
-    0.05: 8.6469075298811034e-3,
-    0.215: 2.4914097251011269,
-    0.3: 15.113510106659711,
-    1.0: 70.768694635108837,
 }
 
 
@@ -141,47 +131,6 @@ class TestSpectralFunction:
             tunnel_spectral_fn(0.01, bad, junction)
 
 
-class TestNisCurrent:
-    @pytest.mark.parametrize("v", sorted(CURRENT_ORACLE))
-    def test_against_oracle(self, junction, v):
-        assert nis_current(v, junction) == pytest.approx(
-            CURRENT_ORACLE[v], rel=1e-9
-        )
-
-    def test_odd_in_bias(self, junction):
-        for v in (0.1, 0.3, 1.0):
-            assert nis_current(-v, junction) == pytest.approx(
-                -nis_current(v, junction), rel=1e-10
-            )
-
-    def test_ohmic_far_beyond_gap(self, junction):
-        v = 10.0
-        assert nis_current(v, junction) == pytest.approx(
-            1000.0 * v / junction.r_t, rel=1e-3
-        )
-
-    def test_subgap_suppression(self, junction):
-        # conductance deep inside the gap is the Dynes leakage
-        g_in = nis_current(0.05, junction) / 0.05
-        g_out = 1000.0 / junction.r_t
-        assert g_in / g_out == pytest.approx(junction.gamma_d, rel=0.2)
-
-    def test_array_input(self, junction):
-        v = np.array([0.05, 0.3])
-        out = nis_current(v, junction)
-        assert out.shape == (2,)
-        assert_allclose(
-            out, [CURRENT_ORACLE[0.05], CURRENT_ORACLE[0.3]], rtol=1e-9
-        )
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_rejects_non_finite(self, junction, bad):
-        with pytest.raises(ValueError, match=f"bias v .*{bad}"):
-            nis_current(bad, junction)
-        with pytest.raises(ValueError, match=f"bias v .*{bad}"):
-            nis_current([0.1, bad], junction)
-
-
 def _fermi_scalar(y):
     if y > 700.0:
         return 0.0
@@ -255,11 +204,6 @@ class TestGaussKronrod:
             assert np.array_equal(batch, alone)
             assert np.array_equal(batch[::-1], tunnel_spectral_fn(e[::-1], v, jn))
 
-    def test_current_batch_equals_alone(self, junction):
-        v = np.linspace(-1.5, 1.5, 31)
-        batch = nis_current(v, junction)
-        assert np.array_equal(batch, [nis_current(float(x), junction) for x in v])
-
     def test_panel_cap_raises_before_evaluating(self, monkeypatch, junction):
         def no_evaluation(*args):
             raise AssertionError("integrand evaluated past the panel cap")
@@ -268,14 +212,24 @@ class TestGaussKronrod:
         monkeypatch.setattr(qcr, "dynes_dos", no_evaluation)
         with pytest.raises(RuntimeError, match=r"E = .* meV, V = 0\.6 mV"):
             tunnel_spectral_fn(H_MEV_PER_GHZ * np.full(1000, 4.09), 0.6, junction)
-        with pytest.raises(RuntimeError, match=r"V = 0\.3 mV"):
-            nis_current(0.3, junction)
 
     def test_panel_cap_stops_refinement(self, monkeypatch, junction):
-        # the starting panels fit, the refinement 0.3 mV needs does not
+        # the 12 starting panels fit, the refinement this integral needs
+        # does not
+        evaluations = []
+        dos = qcr.dynes_dos
+
+        def counted(x, gamma_d):
+            evaluations.append(x.size)
+            return dos(x, gamma_d)
+
         monkeypatch.setattr(qcr, "QUAD_LIMIT", 12)
-        with pytest.raises(RuntimeError, match="V = 0.3 mV needs more than 12"):
-            nis_current(0.3, junction)
+        monkeypatch.setattr(qcr, "dynes_dos", counted)
+        with pytest.raises(
+            RuntimeError, match=r"E = .* meV, V = 0\.3 mV needs more than 12"
+        ):
+            tunnel_spectral_fn(H_MEV_PER_GHZ * 4.09, 0.3, junction)
+        assert evaluations
 
     @pytest.mark.parametrize(
         ("t_n", "gamma_d", "f_ghz", "v"),
@@ -323,7 +277,7 @@ class TestJunctionValidation:
             {"delta": -0.215},
             {"gamma_d": 0.0},
             {"gamma_d": 1.0},
-            {"r_t": 0.0},
+            {"t_n": -0.1},
             {"t_n": 0.0},
         ],
     )
@@ -336,7 +290,7 @@ class TestJunctionValidation:
             CouplingSpec(kappa_eff=0.0)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
-    @pytest.mark.parametrize("name", ["delta", "gamma_d", "r_t", "t_n"])
+    @pytest.mark.parametrize("name", ["delta", "gamma_d", "t_n"])
     def test_rejects_non_finite(self, name, value):
         with pytest.raises(ValueError, match=name):
             JunctionSpec(**{name: value})
@@ -473,46 +427,3 @@ class TestEffectiveTemperature:
 
     def test_pure_decay_is_zero(self):
         assert effective_temperature(0.5, 0.0, 4.09) == 0.0
-
-
-class TestExtractDynes:
-    def test_cold_dos_round_trip(self, junction):
-        """IV built from the density of states alone (zero-temperature
-        quasistatic curve): the edge detector recovers the gap tightly."""
-        from scipy.integrate import cumulative_trapezoid
-
-        v = np.linspace(-2.0, 2.0, 2001)
-        dos = dynes_dos(v / junction.delta, junction.gamma_d)
-        i = cumulative_trapezoid(dos, v / junction.delta, initial=0.0)
-        i = 1000.0 * junction.delta * (i - i[v.size // 2]) / junction.r_t
-        fit = extract_dynes(np.column_stack([v, i]))
-        assert fit.delta == pytest.approx(junction.delta, abs=0.005)
-        assert (
-            junction.gamma_d / 1.5 < fit.gamma_d < junction.gamma_d * 1.5
-        )
-        assert fit.r_outside == pytest.approx(junction.r_t, rel=0.05)
-        assert fit.v_edge_pos == pytest.approx(-fit.v_edge_neg, abs=0.002)
-
-    def test_warm_current_round_trip(self, junction):
-        """Thermal smearing at t_n pushes the conductance peak ~kT/e
-        above the gap edge; the recovered width carries that bias."""
-        v = np.linspace(-2.0, 2.0, 801)
-        iv = np.column_stack([v, nis_current(v, junction)])
-        fit = extract_dynes(iv)
-        assert fit.delta == pytest.approx(junction.delta, abs=0.015)
-        assert (
-            junction.gamma_d / 1.5 < fit.gamma_d < junction.gamma_d * 1.5
-        )
-        assert fit.r_outside == pytest.approx(junction.r_t, rel=0.05)
-
-    def test_ohmic_trace_has_no_gap(self, junction):
-        v = np.linspace(-0.6, 0.6, 241)
-        iv = np.column_stack([v, 1000.0 * v / junction.r_t])
-        with pytest.raises(NoGapError):
-            extract_dynes(iv)
-
-    def test_needs_enough_points(self, junction):
-        v = np.linspace(-0.6, 0.6, 20)
-        iv = np.column_stack([v, 1000.0 * v / junction.r_t])
-        with pytest.raises(ValueError, match="points"):
-            extract_dynes(iv)

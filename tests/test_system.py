@@ -7,18 +7,9 @@ from numpy.testing import assert_allclose
 
 from qcrsim.system import (
     DISPERSIVE_RATIO_MAX,
-    MAX_HILBERT_DIM,
-    DimensionError,
+    MAX_LEVELS,
     ResonatorSpec,
-    SystemSpec,
     TransmonSpec,
-    build_hamiltonian,
-    destroy,
-    diagonalize,
-    dispersive_shift,
-    ladder_elements,
-    readout_pull,
-    total_excitation_number,
     transition_frequencies,
     transmon_energies,
 )
@@ -39,14 +30,6 @@ def test_transition_frequencies_are_energy_differences(transmon):
     assert_allclose(np.diff(f), transmon.alpha, atol=1e-14)
 
 
-def test_destroy_matrix_elements():
-    a = destroy(4)
-    assert a.shape == (4, 4)
-    assert_allclose(np.diag(a, k=1), np.sqrt([1.0, 2.0, 3.0]))
-    assert np.count_nonzero(a - np.diag(np.diag(a, 1), 1)) == 0
-    assert_allclose(ladder_elements(4), np.sqrt([1.0, 2.0, 3.0]))
-
-
 class TestSpecValidation:
     def test_transmon_rejects_positive_alpha(self):
         with pytest.raises(ValueError, match="alpha"):
@@ -58,7 +41,7 @@ class TestSpecValidation:
 
     def test_resonator_rejects_nonpositive_coupling(self):
         with pytest.raises(ValueError):
-            ResonatorSpec(omega=4.67, g=0.0, n_levels=4)
+            ResonatorSpec(omega=4.67, g=0.0)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("name", ["omega_ge", "alpha"])
@@ -82,100 +65,32 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="dispersive"):
             replace(system, reset_resonator=near).validate()
 
-    def test_validate_rejects_oversized_hilbert_space(self, system):
-        big = replace(system, transmon=TransmonSpec(n_levels=300))
-        assert big.hilbert_dim > MAX_HILBERT_DIM
-        with pytest.raises(DimensionError):
+    def test_dispersive_at_every_transition(self, system):
+        # dispersive at g-e, but degenerate with the 1-2 transition
+        near = ResonatorSpec(omega=3.817, g=0.01)
+        assert near.dispersive_ratio(system.transmon.omega_ge) < 0.04
+        with pytest.raises(ValueError, match="reset_resonator .* 1-2 transition"):
+            replace(system, reset_resonator=near).validate()
+        exact = replace(near, omega=float(transition_frequencies(system.transmon)[1]))
+        with pytest.raises(ValueError, match="reset_resonator .* inf"):
+            replace(system, reset_resonator=exact).validate()
+
+    def test_validate_rejects_nonpositive_top_transition(self, system):
+        # omega_ge + 15 alpha = -0.005 GHz
+        deep = replace(system, transmon=TransmonSpec(n_levels=17))
+        with pytest.raises(ValueError, match="top ladder transition"):
+            deep.validate()
+
+    def test_validate_rejects_oversized_ladder(self, system):
+        big = replace(system, transmon=TransmonSpec(alpha=-1e-3, n_levels=257))
+        with pytest.raises(ValueError, match=f"exceeds cap {MAX_LEVELS}"):
             big.validate()
+        # the cap is checked before anything the size of the ladder is built
+        huge = replace(system, transmon=TransmonSpec(alpha=-1e-9, n_levels=10**9))
+        with pytest.raises(ValueError, match="exceeds cap"):
+            huge.validate()
 
     def test_dim_cap_boundary_accepted(self, system):
-        edge = replace(system, transmon=TransmonSpec(n_levels=256))
-        assert edge.hilbert_dim == MAX_HILBERT_DIM
-        edge.validate()
-
-
-def test_hamiltonian_shape_and_hermiticity(system):
-    h = build_hamiltonian(system)
-    assert h.shape == (96, 96)
-    assert_allclose(h, h.conj().T, atol=1e-14)
-
-
-def test_hamiltonian_conserves_total_excitation(system):
-    # the rotating-wave coupling commutes with the excitation number
-    h = build_hamiltonian(system)
-    n = total_excitation_number(system)
-    comm = h @ n - n @ h
-    assert np.abs(comm).max() < 1e-12
-
-
-def test_hamiltonian_diagonal_is_bare_energy(system):
-    h = build_hamiltonian(system)
-    nt, n1, n2 = system.dims
-    et = transmon_energies(system.transmon)
-    idx = 0
-    bare = np.empty(nt * n1 * n2)
-    for i in range(nt):
-        for j in range(n1):
-            for k in range(n2):
-                bare[idx] = (
-                    et[i]
-                    + j * system.reset_resonator.omega
-                    + k * system.readout_resonator.omega
-                )
-                idx += 1
-    assert_allclose(np.diag(h).real, bare, atol=1e-12)
-
-
-class TestSpectrum:
-    def test_ground_state_is_zero(self, system):
-        spec = diagonalize(system)
-        assert spec.energies[0] == pytest.approx(0.0, abs=1e-12)
-
-    def test_labels_are_a_bijection(self, system):
-        spec = diagonalize(system)
-        labels = {tuple(row) for row in spec.bare_indices}
-        assert len(labels) == system.hilbert_dim
-
-    def test_energy_of_round_trip(self, system):
-        spec = diagonalize(system)
-        # dressed g-e splitting stays within a linewidth of the bare one
-        e_ge = spec.energy_of(1, 0, 0) - spec.energy_of(0, 0, 0)
-        assert e_ge == pytest.approx(system.transmon.omega_ge, abs=0.01)
-
-    def test_dominant_overlap_is_large(self, system):
-        spec = diagonalize(system)
-        assert spec.overlaps.min() > 0.8
-
-
-def test_dispersive_shift_value(system):
-    g = system.readout_resonator.g
-    alpha = system.transmon.alpha
-    delta = system.transmon.omega_ge - system.readout_resonator.omega
-    expected = g**2 * alpha / (delta * (delta + alpha))
-    chi = dispersive_shift(system)
-    assert chi == pytest.approx(expected, rel=1e-12)
-    assert chi == pytest.approx(-1.1148e-4, rel=1e-3)  # GHz, about -111 kHz
-
-
-def test_readout_pull_matches_perturbation_theory(system):
-    """Exact two-resonator pull vs 2*chi from second-order theory."""
-    pull = readout_pull(system)
-    assert pull == pytest.approx(2.0 * dispersive_shift(system), rel=0.10)
-
-
-def test_readout_pull_error_is_quartic_in_coupling(system):
-    # halving both couplings should shrink the residual ~16x
-    def residual(s):
-        return abs(readout_pull(s) - 2.0 * dispersive_shift(s))
-
-    halved = replace(
-        system,
-        reset_resonator=replace(
-            system.reset_resonator, g=system.reset_resonator.g / 2
-        ),
-        readout_resonator=replace(
-            system.readout_resonator, g=system.readout_resonator.g / 2
-        ),
-    )
-    ratio = residual(system) / residual(halved)
-    assert 10.0 < ratio < 24.0
+        assert MAX_LEVELS == 256
+        edge = TransmonSpec(alpha=-1e-3, n_levels=MAX_LEVELS)
+        replace(system, transmon=edge).validate()
