@@ -35,7 +35,6 @@ from .otto import OttoResult, OttoSpec, frequency_efficiency, run_cycle
 from .qcr import (
     CouplingSpec,
     JunctionSpec,
-    RatePair,
     RateTable,
     dynes_dos,
     effective_temperature,

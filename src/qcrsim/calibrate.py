@@ -38,6 +38,12 @@ REFERENCE_PULSE = BiasPulse(dc_offset=0.0, amplitude=1.2, duration=100.0)
 #: Idle (cryostat) temperature the reference pulse starts from (K).
 IDLE_TEMPERATURE = 0.110
 
+#: Bisection stops once the reached temperature is this close (K).
+TEMPERATURE_TOL = 1e-4
+
+#: Most bisection steps before giving up.
+MAX_BISECTIONS = 60
+
 
 class CalibrationError(RuntimeError):
     """The bisection could not bracket or reach the target temperature."""
@@ -63,8 +69,6 @@ def heated_temperature(
     system: SystemSpec | None = None,
     junction: JunctionSpec | None = None,
     pulse: BiasPulse = REFERENCE_PULSE,
-    t_idle: float = IDLE_TEMPERATURE,
-    purcell_filter: bool = True,
 ) -> float:
     """Fitted temperature (K) reached by ``pulse`` at a given rate scale.
 
@@ -74,8 +78,8 @@ def heated_temperature(
     """
     system = system if system is not None else SystemSpec()
     junction = junction if junction is not None else JunctionSpec()
-    coupling = CouplingSpec(kappa_eff=kappa_eff, purcell_filter=purcell_filter)
-    rho0 = DensityMatrix.gibbs(t_idle, system.transmon)
+    coupling = CouplingSpec(kappa_eff=kappa_eff)
+    rho0 = DensityMatrix.gibbs(IDLE_TEMPERATURE, system.transmon)
     # one exact step over the pulse: only its end state is read
     traj = evolve(rho0, system, junction, coupling, pulse, dt=pulse.duration)
     p4 = normalize_leading(traj.final.populations(), 4)
@@ -88,36 +92,31 @@ def calibrate_kappa_eff(
     system: SystemSpec | None = None,
     junction: JunctionSpec | None = None,
     pulse: BiasPulse = REFERENCE_PULSE,
-    t_idle: float = IDLE_TEMPERATURE,
     lo: float = 0.01,
     hi: float = 2.0,
-    tol: float = 1e-4,
-    max_iter: int = 60,
 ) -> CalibrationResult:
     """Find the rate scale that heats the reference pulse to ``target``.
 
     Bisection on kappa_eff over [lo, hi]; the reached temperature is
     monotone in the scale, so a sign change of (reached - target) at the
-    bracket ends guarantees convergence.  ``tol`` is on the temperature
-    mismatch in K.
+    bracket ends guarantees convergence.  It stops once the temperature
+    mismatch is below TEMPERATURE_TOL (K).
 
     Raises CalibrationError if the bracket does not straddle the target
-    or the temperature mismatch stays above ``tol`` after ``max_iter``
-    bisection steps.
+    or the mismatch stays above TEMPERATURE_TOL after MAX_BISECTIONS
+    steps.
     """
     if not 0 < lo < hi:
         raise ValueError(f"need 0 < lo < hi, got [{lo}, {hi}]")
-    if target <= t_idle:
+    if target <= IDLE_TEMPERATURE:
         raise ValueError(
-            f"target {target} K must exceed the idle temperature {t_idle} K"
+            f"target {target} K must exceed the idle temperature "
+            f"{IDLE_TEMPERATURE} K"
         )
 
     def mismatch(kappa: float) -> float:
         return (
-            heated_temperature(
-                kappa, system=system, junction=junction, pulse=pulse,
-                t_idle=t_idle,
-            )
+            heated_temperature(kappa, system=system, junction=junction, pulse=pulse)
             - target
         )
 
@@ -130,10 +129,10 @@ def calibrate_kappa_eff(
         )
 
     mid, f_mid = lo, f_lo
-    for i in range(1, max_iter + 1):
+    for i in range(1, MAX_BISECTIONS + 1):
         mid = 0.5 * (lo + hi)
         f_mid = mismatch(mid)
-        if abs(f_mid) < tol:
+        if abs(f_mid) < TEMPERATURE_TOL:
             return CalibrationResult(
                 kappa_eff=mid, achieved=f_mid + target, target=target,
                 iterations=i,
@@ -143,6 +142,6 @@ def calibrate_kappa_eff(
         else:
             hi = mid
     raise CalibrationError(
-        f"no convergence after {max_iter} steps; best kappa_eff {mid} "
+        f"no convergence after {MAX_BISECTIONS} steps; best kappa_eff {mid} "
         f"reaches {f_mid + target:.4f} K vs target {target} K"
     )

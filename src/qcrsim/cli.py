@@ -5,7 +5,9 @@ Binds the simulation and analysis modules into reproducible pipelines
 ``ExperimentConfig`` (defaults, optional config file, CLI overrides),
 writes its echo next to the outputs, and derives all randomness from
 one root seed through named sub-streams, so identical config + seed
-produces byte-identical CSV files.
+produces byte-identical CSV files.  The presets pass arrays from stage
+to stage in memory and write CSVs as products only; ``fit`` and
+``thermo`` are the only commands that read a CSV (``read_csv_columns``).
 
 Subcommands: ``rates``, ``evolve``, ``shots``, ``fit``, ``thermo``,
 ``otto`` and ``pipeline <preset|file>`` with presets ``fig3d``,
@@ -90,8 +92,13 @@ def write_csv(path: Path, header: list[str], columns, comments: list[str] = ()):
     return path
 
 
-def read_csv_columns(path: Path) -> dict[str, list[str]]:
-    """Read a CSV into {column: list of raw strings}, skipping comments."""
+def read_csv_columns(path: Path, required, optional=()) -> dict[str, np.ndarray]:
+    """Float arrays of the ``required`` columns of a CSV and of those
+    ``optional`` columns it has, skipping comment lines.
+
+    Raises ValueError naming every missing required column, or the
+    first row whose cell count differs from the header's.
+    """
     with open(path, encoding="utf-8", newline="") as fh:
         rows = [
             row
@@ -101,8 +108,16 @@ def read_csv_columns(path: Path) -> dict[str, list[str]]:
     if not rows:
         raise ValueError(f"{path} is empty")
     header, body = rows[0], rows[1:]
+    missing = [name for name in required if name not in header]
+    if missing:
+        raise ValueError(f"{path} lacks columns {missing}")
+    ragged = next((i for i, row in enumerate(body) if len(row) != len(header)), None)
+    if ragged is not None:
+        raise ValueError(f"{path}: row {ragged} does not have {len(header)} cells")
     return {
-        name: [row[j] for row in body] for j, name in enumerate(header)
+        name: np.array([float(row[j]) for row in body])
+        for j, name in enumerate(header)
+        if name in required or name in optional
     }
 
 
@@ -118,18 +133,18 @@ def stage_rates(cfg: ExperimentConfig, outdir: Path, biases) -> Path:
     system = cfg.as_system()
     junction = cfg.as_junction()
     coupling = cfg.as_coupling()
-    rows = []
-    for v in biases:
-        table = transition_rates(system, junction, coupling, v)
-        t_eff = table.effective_temperatures()
-        for m, pair in enumerate(table.pairs):
-            rows.append(
-                (float(v), m, pair.gamma_down, pair.gamma_up, t_eff[m])
-            )
+    tables = [transition_rates(system, junction, coupling, v) for v in biases]
+    m = np.arange(system.transmon.n_levels - 1)
     return write_csv(
         outdir / "rates.csv",
         ["V_mV", "m", "gamma_down_per_ns", "gamma_up_per_ns", "T_eff_K"],
-        zip(*rows),
+        [
+            np.repeat(np.asarray(biases, dtype=float), m.size),
+            np.tile(m, len(tables)),
+            np.concatenate([t.gamma_down for t in tables]),
+            np.concatenate([t.gamma_up for t in tables]),
+            np.concatenate([t.effective_temperatures() for t in tables]),
+        ],
     )
 
 
@@ -180,9 +195,10 @@ def stage_shots(
     seed: int,
     calibration: bool = False,
     name: str = "shots.csv",
-) -> Path:
-    """Synthesize IQ shots; calibration mode emits n_shots per prepared
-    state with a label column instead of sampling the mixture."""
+) -> np.ndarray:
+    """Synthesize IQ shots, write them and return the (n, 2) array;
+    calibration mode emits n_shots per prepared state with a label
+    column instead of sampling the mixture."""
     model = cfg.as_readout_model()
     if calibration:
         pts = np.concatenate(
@@ -194,11 +210,16 @@ def stage_shots(
             ]
         )
         labels = [label for label in model.labels for _ in range(n_shots)]
-        return write_csv(outdir / name, ["i", "q", "label"], [*pts.T, labels])
-    pts = synthesize_shots(
-        populations, model, n_shots, seed=_seed_for(seed, "shots")
-    )
-    return write_csv(outdir / name, ["i", "q"], pts.T)
+        write_csv(outdir / name, ["i", "q", "label"], [*pts.T, labels])
+    else:
+        pts = synthesize_shots(populations, model, n_shots, _seed_for(seed, "shots"))
+        write_csv(outdir / name, ["i", "q"], pts.T)
+    return pts
+
+
+def _canonical(est) -> np.ndarray:
+    """Populations of an estimate in the canonical g/e/f/h order."""
+    return est.populations[[est.labels.index(lbl) for lbl in STATE_LABELS]]
 
 
 def _model_lines(gmm) -> list[str]:
@@ -223,25 +244,16 @@ def _model_lines(gmm) -> list[str]:
 def stage_fit(
     cfg: ExperimentConfig,
     outdir: Path,
-    shots_path: Path,
+    shots: np.ndarray,
     seed: int,
     blind: bool = False,
     anchor: float | None = None,
 ):
-    """Fit the mixture to a shots CSV and estimate populations.
+    """Fit the mixture to (n, 2) IQ shots and estimate populations.
 
     Writes model.txt (key-value, exact decimals) and populations.csv
     (one row, canonical g/e/f/h order).
     """
-    columns = read_csv_columns(shots_path)
-    if "i" not in columns or "q" not in columns:
-        raise ValueError(f"{shots_path} must have columns i,q")
-    shots = np.column_stack(
-        [
-            np.array([float(x) for x in columns["i"]]),
-            np.array([float(x) for x in columns["q"]]),
-        ]
-    )
     init = None if blind else cfg.as_readout_model()
     gmm = fit_gmm(
         shots, init=init, seed=_seed_for(seed, "gmm"), anchor=anchor
@@ -252,11 +264,9 @@ def stage_fit(
     model_path.write_text(
         "\n".join(_model_lines(gmm)) + "\n", encoding="utf-8", newline="\n"
     )
-    order = [est.labels.index(lbl) for lbl in STATE_LABELS]
+    p = _canonical(est)
     pops_path = write_csv(
-        outdir / "populations.csv",
-        [f"p{j}" for j in range(len(order))],
-        est.populations[order, None],
+        outdir / "populations.csv", [f"p{j}" for j in range(p.size)], p[:, None]
     )
     return model_path, pops_path, est
 
@@ -264,39 +274,26 @@ def stage_fit(
 def stage_thermo(
     cfg: ExperimentConfig,
     outdir: Path,
-    populations_path: Path,
+    p: np.ndarray,
+    sweep_col: str | None = None,
+    sweep: np.ndarray | None = None,
     name: str = "thermo.csv",
 ) -> Path:
     """Per-row Gibbs-fit temperatures plus slope/saturation summary.
 
-    The input CSV needs columns p0..p3 and may carry V_mV or t_ns;
-    temperatures are reported in mK.  The summary block at the end of
-    the file holds the heating slope above the configured gap
-    ``junction.delta`` (V_mV input) or the saturation-fit parameters
-    (t_ns input).
+    ``p`` is an (n, 4) population table; ``sweep``, if given, is its
+    axis, named by ``sweep_col`` (V_mV or t_ns).  Temperatures
+    are reported in mK.  The summary block at the end of the file holds
+    the heating slope above the configured gap ``junction.delta``
+    (V_mV axis) or the saturation-fit parameters (t_ns axis).
     """
-    transmon = cfg.as_system().transmon
-    columns = read_csv_columns(populations_path)
-    missing = [k for k in ("p0", "p1", "p2", "p3") if k not in columns]
-    if missing:
-        raise ValueError(
-            f"{populations_path} lacks population columns {missing}"
-        )
-    sweep_col = next(
-        (k for k in ("V_mV", "t_ns") if k in columns), None
-    )
-    p = np.array([[float(x) for x in columns[f"p{j}"]] for j in range(4)]).T
-    try:
-        fit = fit_gibbs(p, transmon)
-    except (ValueError, RuntimeError) as exc:
-        raise type(exc)(f"{populations_path}: {exc}") from exc
+    fit = fit_gibbs(p, cfg.as_system().transmon)
     temps = fit.temperature  # K, NaN where non-thermal
     header = ["T_mK", "T_err_mK", "residual"]
     out = [temps * 1e3, fit.uncertainty * 1e3, fit.residual]
 
     comments = []
     if sweep_col:
-        sweep = np.array([float(x) for x in columns[sweep_col]])
         header.insert(0, sweep_col)
         out.insert(0, sweep)
         ok = np.isfinite(temps)
@@ -382,11 +379,11 @@ def pipeline_fig3d(cfg: ExperimentConfig, outdir: Path, seed: int):
             calibration=True,
             name="shots_calibration.csv",
         )
-        shots_path = stage_shots(cfg, outdir, p4, 10000, seed)
+        shots = stage_shots(cfg, outdir, p4, 10000, seed)
     with _stage("fit"):
-        _, pops_path, _ = stage_fit(cfg, outdir, shots_path, seed)
+        _, _, est = stage_fit(cfg, outdir, shots, seed)
     with _stage("thermo"):
-        stage_thermo(cfg, outdir, pops_path)
+        stage_thermo(cfg, outdir, _canonical(est)[None])
 
 
 def pipeline_fig4a(cfg: ExperimentConfig, outdir: Path, seed: int):
@@ -400,7 +397,7 @@ def pipeline_fig4a(cfg: ExperimentConfig, outdir: Path, seed: int):
     rho0 = DensityMatrix.gibbs(IDLE_TEMPERATURE, transmon)
 
     amplitudes = [round(0.1 * i, 1) for i in range(13)]  # 0 .. 1.2 mV
-    rows = []
+    p = np.empty((len(amplitudes), 4))
     for i, amp in enumerate(amplitudes):
         pulse = BiasPulse(dc_offset=0.0, amplitude=amp, duration=100.0)
         with _stage("evolve"):
@@ -412,17 +409,15 @@ def pipeline_fig4a(cfg: ExperimentConfig, outdir: Path, seed: int):
                 p_true, model, 20000, _seed_for(seed, "fig4a-shots", i)
             )
         with _stage("fit"):
-            est = estimate_populations(shots, model)
-        order = [est.labels.index(lbl) for lbl in STATE_LABELS]
-        rows.append((amp, *(est.populations[j] for j in order)))
+            p[i] = _canonical(estimate_populations(shots, model))
 
-    pops_path = write_csv(
+    write_csv(
         outdir / "sweep_populations.csv",
         ["V_mV", "p0", "p1", "p2", "p3"],
-        zip(*rows),
+        [amplitudes, *p.T],
     )
     with _stage("thermo"):
-        stage_thermo(cfg, outdir, pops_path)
+        stage_thermo(cfg, outdir, p, "V_mV", np.array(amplitudes))
 
 
 def pipeline_fig4b(cfg: ExperimentConfig, outdir: Path, seed: int):
@@ -441,13 +436,14 @@ def pipeline_fig4b(cfg: ExperimentConfig, outdir: Path, seed: int):
                 name=f"evolve_{tag}mV.csv",
             )
         ok = np.isfinite(traj.temperatures)
-        pops_path = write_csv(
+        t, p = traj.times[ok], normalize_leading(traj.populations[ok], 4)
+        write_csv(
             outdir / f"temps_{tag}mV.csv",
             ["t_ns", "p0", "p1", "p2", "p3"],
-            [traj.times[ok], *normalize_leading(traj.populations[ok], 4).T],
+            [t, *p.T],
         )
         with _stage("thermo"):
-            stage_thermo(cfg, outdir, pops_path, name=f"thermo_{tag}mV.csv")
+            stage_thermo(cfg, outdir, p, "t_ns", t, name=f"thermo_{tag}mV.csv")
 
 
 def pipeline_otto_demo(cfg: ExperimentConfig, outdir: Path, seed: int):
@@ -469,11 +465,11 @@ def pipeline_full(cfg: ExperimentConfig, outdir: Path, seed: int):
         _, traj = stage_evolve(cfg, outdir, pulse)
     p4 = normalize_leading(traj.final.populations(), 4)
     with _stage("shots"):
-        shots_path = stage_shots(cfg, outdir, p4, 10000, seed)
+        shots = stage_shots(cfg, outdir, p4, 10000, seed)
     with _stage("fit"):
-        _, pops_path, _ = stage_fit(cfg, outdir, shots_path, seed)
+        _, _, est = stage_fit(cfg, outdir, shots, seed)
     with _stage("thermo"):
-        stage_thermo(cfg, outdir, pops_path)
+        stage_thermo(cfg, outdir, _canonical(est)[None])
 
 
 PIPELINE_PRESETS = {
@@ -533,24 +529,18 @@ def cmd_shots(args) -> int:
         populations = np.array(
             [float(x) for x in args.populations.split(",")]
         )
-    path = stage_shots(
-        cfg,
-        outdir,
-        populations,
-        args.n,
-        seed,
-        calibration=args.calibration,
-    )
-    print(path)
+    stage_shots(cfg, outdir, populations, args.n, seed, calibration=args.calibration)
+    print(outdir / "shots.csv")
     return 0
 
 
 def cmd_fit(args) -> int:
     cfg, outdir, seed = _resolve(args)
+    columns = read_csv_columns(Path(args.shots), ("i", "q"))
     model_path, pops_path, est = stage_fit(
         cfg,
         outdir,
-        Path(args.shots),
+        np.column_stack([columns["i"], columns["q"]]),
         seed,
         blind=args.blind,
         anchor=args.anchor,
@@ -564,7 +554,14 @@ def cmd_fit(args) -> int:
 
 def cmd_thermo(args) -> int:
     cfg, outdir, _ = _resolve(args)
-    path = stage_thermo(cfg, outdir, Path(args.populations))
+    src, sweep_cols = Path(args.populations), ("V_mV", "t_ns")
+    columns = read_csv_columns(src, ("p0", "p1", "p2", "p3"), sweep_cols)
+    sweep_col = next((k for k in sweep_cols if k in columns), None)
+    p = np.column_stack([columns[f"p{j}"] for j in range(4)])
+    try:
+        path = stage_thermo(cfg, outdir, p, sweep_col, columns.get(sweep_col))
+    except (ValueError, RuntimeError) as exc:
+        raise type(exc)(f"{src}: {exc}") from exc
     print(path)
     return 0
 

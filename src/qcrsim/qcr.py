@@ -103,15 +103,6 @@ class CouplingSpec:
 
 
 @dataclass(frozen=True)
-class RatePair:
-    """Downward/upward rate pair of one ladder transition m <-> m+1."""
-
-    omega: float  # transition frequency, GHz
-    gamma_down: float  # 1/ns
-    gamma_up: float  # 1/ns
-
-
-@dataclass(frozen=True)
 class RateTable:
     """All ladder rate pairs at one bias voltage."""
 
@@ -119,13 +110,6 @@ class RateTable:
     omegas: np.ndarray  # (n-1,) GHz
     gamma_down: np.ndarray  # (n-1,) 1/ns
     gamma_up: np.ndarray  # (n-1,) 1/ns
-
-    @property
-    def pairs(self) -> list[RatePair]:
-        return [
-            RatePair(float(w), float(d), float(u))
-            for w, d, u in zip(self.omegas, self.gamma_down, self.gamma_up)
-        ]
 
     def effective_temperatures(self) -> np.ndarray:
         return np.array(
@@ -370,7 +354,11 @@ def transition_rates(
     factor (1 when disabled).  Even in v by construction.  The F rows
     are memoised per process (see ``_spectral_rows``), so only the first
     table at a given (transmon, junction, |v|) evaluates integrals.
+    Raises ValueError, via ``SystemSpec.validate``, for a system whose
+    ladder or resonators are outside the dispersive model these rates
+    assume.
     """
+    system.validate()
     omegas = transition_frequencies(system.transmon)
     m = np.arange(omegas.size)
     weights = (m + 1).astype(float)

@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 
 import qcrsim
 from qcrsim import CouplingSpec, JunctionSpec, SystemSpec
-from qcrsim.cli import build_parser, main
+from qcrsim.cli import PIPELINE_PRESETS, build_parser, main
 from qcrsim.constants import AJ_PER_GHZ
 from qcrsim.otto import OttoSpec, run_cycle
 
@@ -530,6 +530,80 @@ class TestPipelines:
         assert main(
             ["rates", "--bias", "0.0", "--config", str(cfg), "--outdir", str(tmp_path)]
         ) == 0
+
+
+@pytest.fixture(scope="module")
+def preset_outputs(tmp_path_factory):
+    """Every preset at seed 0, run with the CSV reader made to raise:
+    the presets pass arrays in memory and read no product back."""
+    root = tmp_path_factory.mktemp("presets")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a preset read a CSV back")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qcrsim.cli, "read_csv_columns", refuse)
+        codes = {
+            name: main(["pipeline", name, "--seed", "0", "--outdir", str(root / name)])
+            for name in PIPELINE_PRESETS
+        }
+    return root, codes
+
+
+class TestCsvReaders:
+    """Only ``fit`` and ``thermo`` read CSVs, and they reproduce the
+    products the presets computed in memory."""
+
+    def test_presets_read_no_csv(self, preset_outputs):
+        _, codes = preset_outputs
+        assert codes == {name: 0 for name in PIPELINE_PRESETS}
+
+    def test_fit_reproduces_fig3d_populations(self, preset_outputs, tmp_path):
+        root, _ = preset_outputs
+        shots = root / "fig3d" / "shots.csv"
+        assert main(
+            ["fit", "--shots", str(shots), "--seed", "0", "--outdir", str(tmp_path)]
+        ) == 0
+        for name in ("populations.csv", "model.txt"):
+            assert (tmp_path / name).read_bytes() == (
+                root / "fig3d" / name
+            ).read_bytes(), name
+
+    @pytest.mark.parametrize(
+        "preset, source, product",
+        [
+            ("fig3d", "populations.csv", "thermo.csv"),
+            ("fig4a", "sweep_populations.csv", "thermo.csv"),
+            ("fig4b", "temps_1p2mV.csv", "thermo_1p2mV.csv"),
+        ],
+    )
+    def test_thermo_reproduces_preset_product(
+        self, preset_outputs, tmp_path, preset, source, product
+    ):
+        root, _ = preset_outputs
+        src = root / preset / source
+        assert main(
+            ["thermo", "--populations", str(src), "--outdir", str(tmp_path)]
+        ) == 0
+        assert (tmp_path / "thermo.csv").read_bytes() == (
+            root / preset / product
+        ).read_bytes()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("x,q\n0.1,0.2\n", " lacks columns ['i']"),
+            ("i,q\n0.1,0.2\n0.3\n", ": row 1 does not have 2 cells"),
+        ],
+        ids=["missing-column", "ragged-row"],
+    )
+    def test_fit_names_malformed_input(self, tmp_path, capsys, text, message):
+        src = tmp_path / "shots.csv"
+        src.write_text(text)
+        assert main(
+            ["fit", "--shots", str(src), "--outdir", str(tmp_path)]
+        ) == 1
+        assert f"{src}{message}" in capsys.readouterr().err
 
 
 def _child_env():

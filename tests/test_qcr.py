@@ -10,6 +10,7 @@ from scipy.integrate import quad
 
 from qcrsim import qcr
 from qcrsim.constants import H_MEV_PER_GHZ, H_OVER_KB, KB_MEV_PER_K
+from qcrsim.dynamics import BiasPulse, DensityMatrix, evolve
 from qcrsim.qcr import (
     JunctionSpec,
     CouplingSpec,
@@ -352,12 +353,17 @@ class TestTransitionRates:
         # nearly ladder-independent for this junction
         assert np.ptp(temps) / temps.mean() < 0.01
 
-    def test_pairs_ordering(self, system, junction, coupling):
-        table = transition_rates(system, junction, coupling, 0.5)
-        pairs = table.pairs
-        assert len(pairs) == 5
-        assert [p.omega for p in pairs] == list(table.omegas)
-        assert pairs[2].gamma_down == table.gamma_down[2]
+    def test_rejects_non_dispersive_system(self, junction, coupling):
+        """A reset resonator near the 1-2 transition has no dispersive
+        Purcell factor: rates and evolution both refuse it by name
+        instead of integrating rates of order 1e27 /ns."""
+        near = SystemSpec(reset_resonator=ResonatorSpec(omega=3.817, g=0.01))
+        with pytest.raises(ValueError, match="not dispersively coupled"):
+            transition_rates(near, junction, coupling, 0.5)
+        rho0 = DensityMatrix.gibbs(0.11, near.transmon)
+        pulse = BiasPulse(amplitude=1.2, duration=10.0)
+        with pytest.raises(ValueError, match="not dispersively coupled"):
+            evolve(rho0, near, junction, coupling, pulse)
 
 
 class TestRateCache:
