@@ -41,12 +41,7 @@ from .constants import AJ_PER_GHZ
 from .dynamics import BiasPulse, DensityMatrix, evolve
 from .otto import OttoSpec, run_cycle
 from .qcr import transition_rates
-from .readout import (
-    STATE_LABELS,
-    estimate_populations,
-    fit_gmm,
-    synthesize_shots,
-)
+from .readout import estimate_populations, fit_gmm, synthesize_shots
 from .seeding import named_rng
 from .thermometry import (
     fit_gibbs,
@@ -96,8 +91,9 @@ def read_csv_columns(path: Path, required, optional=()) -> dict[str, np.ndarray]
     """Float arrays of the ``required`` columns of a CSV and of those
     ``optional`` columns it has, skipping comment lines.
 
-    Raises ValueError naming every missing required column, or the
-    first row whose cell count differs from the header's.
+    Raises ValueError naming every missing required column, the first
+    row whose cell count differs from the header's, or the first cell
+    of a read column that is not a number.
     """
     with open(path, encoding="utf-8", newline="") as fh:
         rows = [
@@ -114,11 +110,18 @@ def read_csv_columns(path: Path, required, optional=()) -> dict[str, np.ndarray]
     ragged = next((i for i, row in enumerate(body) if len(row) != len(header)), None)
     if ragged is not None:
         raise ValueError(f"{path}: row {ragged} does not have {len(header)} cells")
-    return {
-        name: np.array([float(row[j]) for row in body])
-        for j, name in enumerate(header)
-        if name in required or name in optional
-    }
+    columns = {}
+    for j, name in enumerate(header):
+        if name in required or name in optional:
+            values = columns[name] = np.empty(len(body))
+            for i, row in enumerate(body):
+                try:
+                    values[i] = float(row[j])
+                except ValueError:
+                    raise ValueError(
+                        f"{path}: row {i} column {name}: {row[j]!r} is not a number"
+                    ) from None
+    return columns
 
 
 def _seed_for(root_seed: int, stage: str, index: int = 0) -> int:
@@ -217,11 +220,6 @@ def stage_shots(
     return pts
 
 
-def _canonical(est) -> np.ndarray:
-    """Populations of an estimate in the canonical g/e/f/h order."""
-    return est.populations[[est.labels.index(lbl) for lbl in STATE_LABELS]]
-
-
 def _model_lines(gmm) -> list[str]:
     lines = [
         f"converged = {str(bool(gmm.converged)).lower()}",
@@ -252,7 +250,7 @@ def stage_fit(
     """Fit the mixture to (n, 2) IQ shots and estimate populations.
 
     Writes model.txt (key-value, exact decimals) and populations.csv
-    (one row, canonical g/e/f/h order).
+    (one row), both in the label order g/e/f/h of the fitted model.
     """
     init = None if blind else cfg.as_readout_model()
     gmm = fit_gmm(
@@ -264,7 +262,7 @@ def stage_fit(
     model_path.write_text(
         "\n".join(_model_lines(gmm)) + "\n", encoding="utf-8", newline="\n"
     )
-    p = _canonical(est)
+    p = est.populations
     pops_path = write_csv(
         outdir / "populations.csv", [f"p{j}" for j in range(p.size)], p[:, None]
     )
@@ -383,7 +381,7 @@ def pipeline_fig3d(cfg: ExperimentConfig, outdir: Path, seed: int):
     with _stage("fit"):
         _, _, est = stage_fit(cfg, outdir, shots, seed)
     with _stage("thermo"):
-        stage_thermo(cfg, outdir, _canonical(est)[None])
+        stage_thermo(cfg, outdir, est.populations[None])
 
 
 def pipeline_fig4a(cfg: ExperimentConfig, outdir: Path, seed: int):
@@ -409,7 +407,7 @@ def pipeline_fig4a(cfg: ExperimentConfig, outdir: Path, seed: int):
                 p_true, model, 20000, _seed_for(seed, "fig4a-shots", i)
             )
         with _stage("fit"):
-            p[i] = _canonical(estimate_populations(shots, model))
+            p[i] = estimate_populations(shots, model).populations
 
     write_csv(
         outdir / "sweep_populations.csv",
@@ -469,7 +467,7 @@ def pipeline_full(cfg: ExperimentConfig, outdir: Path, seed: int):
     with _stage("fit"):
         _, _, est = stage_fit(cfg, outdir, shots, seed)
     with _stage("thermo"):
-        stage_thermo(cfg, outdir, _canonical(est)[None])
+        stage_thermo(cfg, outdir, est.populations[None])
 
 
 PIPELINE_PRESETS = {

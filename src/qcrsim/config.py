@@ -187,9 +187,8 @@ class ExperimentConfig:
             "coupling", lambda: CouplingSpec(**self._fields("coupling"))
         )
 
-    def as_pulse(self, **overrides) -> BiasPulse:
-        kwargs = {**self._fields("pulse"), **overrides}
-        return self._build("pulse", lambda: BiasPulse(**kwargs))
+    def as_pulse(self) -> BiasPulse:
+        return self._build("pulse", lambda: BiasPulse(**self._fields("pulse")))
 
     def as_readout_model(self) -> ReadoutModel:
         return self._build(

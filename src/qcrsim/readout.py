@@ -51,9 +51,8 @@ class ReadoutModel:
             raise ValueError("means must be (k,2) and covariances (k,2,2)")
         if len(self.labels) != k:
             raise ValueError(f"{k} components but {len(self.labels)} labels")
-        for j, c in enumerate(covs):
-            if np.abs(c - c.T).max() > 1e-12 or np.linalg.eigvalsh(c).min() <= 0:
-                raise ValueError(f"covariance {j} is not symmetric positive definite")
+        for mean, cov in zip(means, covs):
+            _check_component(mean, cov)
 
     @property
     def n_components(self) -> int:
@@ -188,9 +187,10 @@ def _quad_form(points, means, covs) -> np.ndarray:
     return q
 
 
-@dataclass
-class GmmModel:
-    """Gaussian mixture fitted by EM.
+@dataclass(frozen=True, kw_only=True)
+class GmmModel(ReadoutModel):
+    """Gaussian mixture fitted by EM: a ReadoutModel, in label order,
+    with the mixture weights and the fit's diagnostics.
 
     loglik_history holds the EM objective after every iteration -- the
     data log likelihood, plus the calibration-prior log density when the
@@ -200,24 +200,10 @@ class GmmModel:
     """
 
     weights: np.ndarray
-    means: np.ndarray
-    covariances: np.ndarray
-    labels: tuple[str, ...]
     loglik: float
     converged: bool
     n_iter: int
-    loglik_history: np.ndarray = field(repr=False, default=None)
-
-    @property
-    def n_components(self) -> int:
-        return self.means.shape[0]
-
-    def as_readout_model(self) -> ReadoutModel:
-        return ReadoutModel(
-            means=self.means.copy(),
-            covariances=self.covariances.copy(),
-            labels=self.labels,
-        )
+    loglik_history: np.ndarray = field(repr=False)
 
 
 def _as_shots(shots) -> np.ndarray:
@@ -355,20 +341,24 @@ def _log_anchor_prior(means, covs, m0, psi0, kappa0, nu0):
 
 def fit_gmm(
     shots,
-    n_components: int = 4,
     init: ReadoutModel | None = None,
     seed: int = 0,
     anchor: float | None = None,
 ) -> GmmModel:
     """Expectation-maximization fit of a Gaussian mixture to IQ shots.
 
-    Initialized from calibration blob geometry when ``init`` is given
-    (component labels are then matched back to the calibration labels by
-    nearest means), else by seeded k-means++ (components labelled by
-    decreasing weight).  Iterates until the relative change of the
-    objective drops below 1e-8 or 500 iterations.  A component whose
-    covariance determinant falls below 1e-12 of the data scale is
-    re-seeded once; a second collapse raises CovarianceCollapseError.
+    Initialized from calibration blob geometry when ``init`` is given,
+    with one component per calibration blob, else by seeded k-means++
+    with one component per state of STATE_LABELS.  Iterates until the
+    relative change of the objective drops below 1e-8 or 500 iterations.
+    A component whose covariance determinant falls below 1e-12 of the
+    data scale is re-seeded once; a second collapse raises
+    CovarianceCollapseError.
+
+    The components come back in label order: component j is the one
+    matched to calibration blob j by the assignment of least total mean
+    distance (labels ``init.labels``), or, for a blind fit, the j-th
+    heaviest (labels STATE_LABELS).
 
     Parameters
     ----------
@@ -385,15 +375,13 @@ def fit_gmm(
     """
     shots = _as_shots(shots)
     n = shots.shape[0]
-    k = n_components
+    k = len(STATE_LABELS) if init is None else init.n_components
     d = 2
     if n < 10 * k:
         raise ValueError(f"need at least {10 * k} shots to fit {k} components")
 
     rng = named_rng(seed, "gmm-init")
     if init is not None:
-        if init.n_components != k:
-            raise ValueError("init model component count mismatch")
         weights = np.full(k, 1.0 / k)
         means = init.means.copy()
         covs = init.covariances.copy()
@@ -483,20 +471,18 @@ def fit_gmm(
             prev_obj = obj
 
     if init is not None:
-        # match fitted components back to the calibration labels
+        # put on blob j the component the least-distance matching gives it
         dist = np.linalg.norm(means[:, None, :] - init.means[None], axis=2)
-        labels = tuple(init.labels[c] for c in _min_cost_matching(dist))
+        order = np.argsort(_min_cost_matching(dist))
     else:
-        order = np.argsort(-weights)
-        rank = np.empty(k, dtype=int)
-        rank[order] = np.arange(k)
-        labels = tuple(STATE_LABELS[r] if k == 4 else str(r) for r in rank)
+        order = np.argsort(-weights, kind="stable")
+    weights, means, covs = weights[order], means[order], covs[order]
 
     return GmmModel(
         weights=weights,
         means=means,
         covariances=covs,
-        labels=labels,
+        labels=STATE_LABELS if init is None else init.labels,
         loglik=float(_e_step(shots, weights, means, covs)[1].sum()),
         converged=converged,
         n_iter=it,
@@ -612,11 +598,10 @@ def estimate_populations(shots, model, seed: int = 0) -> PopulationEstimate:
     total = p.sum()
     if total <= 0:
         raise SingularCorrectionError("corrected populations sum to zero")
-    labels = tuple(getattr(model, "labels", tuple(str(i) for i in range(k))))
     return PopulationEstimate(
         populations=p / total,
         raw_counts=counts,
         correction=m,
-        labels=labels,
+        labels=tuple(model.labels),
         condition_number=cond,
     )

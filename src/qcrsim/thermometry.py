@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import H_OVER_KB
-from .qcr import JunctionSpec
 from .system import TransmonSpec, transmon_energies
 
 T_BOUNDS = (1e-3, 5.0)  # K; search range of the Gibbs fit
@@ -24,7 +23,6 @@ GIBBS_MAX_ITER = 100  # far above the ~57 halvings of the widest bracket
 TAU_RANGE = (1e-3, 1e3)  # saturation tau searched, in units of the time span
 TAU_GRID_PER_DECADE = 8  # coarse log-tau grid that brackets the minimum
 TAU_XTOL = 1e-13  # log-tau bracket width that ends the saturation fit
-V_MIN_DEFAULT = JunctionSpec().delta  # mV; gap edge, onset of the heating slope
 
 
 class SaturationFitError(RuntimeError):
@@ -370,11 +368,11 @@ def fit_saturation(times, temps) -> SaturationFit:
     )
 
 
-def heating_slope(voltages, temps, v_min: float = V_MIN_DEFAULT) -> float:
+def heating_slope(voltages, temps, v_min: float) -> float:
     """OLS slope dT/dV (K/mV) over sweep points with V > v_min.
 
-    v_min defaults to the gap voltage, so only above-gap heating enters.
-    Requires at least three qualifying points.
+    Pass the gap voltage (``JunctionSpec.delta``) as v_min, so only
+    above-gap heating enters.  Requires at least three qualifying points.
     """
     v = np.asarray(voltages, dtype=float)
     y = np.asarray(temps, dtype=float)

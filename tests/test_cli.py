@@ -207,6 +207,23 @@ class TestFitAndThermo:
         assert header == ["T_mK", "T_err_mK", "residual"]
         assert rows[0, 0] == pytest.approx(110.0, abs=10.0)
 
+    def test_blind_fit_prints_label_order(self, tmp_path, capsys):
+        """A blind fit reports g, e, f, h in that order, like an anchored one."""
+        common = ["--seed", "11", "--outdir", str(tmp_path)]
+        assert main(["shots", "--n", "20000", *common]) == 0
+        shots = str(tmp_path / "shots.csv")
+        capsys.readouterr()
+        assert main(["fit", "--blind", "--shots", shots, *common]) == 0
+        lines = capsys.readouterr().out.splitlines()[2:]
+        assert [line.split(":")[0] for line in lines] == ["g", "e", "f", "h"]
+        model_text = (tmp_path / "model.txt").read_text()
+        weights = [
+            float(line.split("=")[1])
+            for line in model_text.splitlines()
+            if line.startswith("weight.")
+        ]
+        assert weights == sorted(weights, reverse=True)
+
     def test_fit_missing_file(self, tmp_path, capsys):
         assert main(
             ["fit", "--shots", str(tmp_path / "nope.csv"), "--outdir", str(tmp_path)]
@@ -594,8 +611,9 @@ class TestCsvReaders:
         [
             ("x,q\n0.1,0.2\n", " lacks columns ['i']"),
             ("i,q\n0.1,0.2\n0.3\n", ": row 1 does not have 2 cells"),
+            ("i,q\n0.1,0.2\n0.3,abc\n", ": row 1 column q: 'abc' is not a number"),
         ],
-        ids=["missing-column", "ragged-row"],
+        ids=["missing-column", "ragged-row", "non-numeric-cell"],
     )
     def test_fit_names_malformed_input(self, tmp_path, capsys, text, message):
         src = tmp_path / "shots.csv"
@@ -604,6 +622,16 @@ class TestCsvReaders:
             ["fit", "--shots", str(src), "--outdir", str(tmp_path)]
         ) == 1
         assert f"{src}{message}" in capsys.readouterr().err
+
+    def test_thermo_names_non_numeric_cell(self, tmp_path, capsys):
+        src = tmp_path / "populations.csv"
+        row = "0.8,0.15,0.04,0.01"
+        src.write_text(f"V_mV,p0,p1,p2,p3\n0.0,{row}\nx,{row}\n")
+        assert main(
+            ["thermo", "--populations", str(src), "--outdir", str(tmp_path)]
+        ) == 1
+        message = f"{src}: row 1 column V_mV: 'x' is not a number"
+        assert message in capsys.readouterr().err
 
 
 def _child_env():

@@ -111,11 +111,6 @@ class TestExperimentConfig:
         assert cfg.as_coupling() == CouplingSpec()
         assert cfg.as_pulse() == BiasPulse()
 
-    def test_pulse_overrides(self):
-        pulse = ExperimentConfig().as_pulse(amplitude=0.3, duration=200.0)
-        assert pulse.amplitude == 0.3
-        assert pulse.duration == 200.0
-
     def test_invalid_block_names_the_block(self):
         cfg = ExperimentConfig({"transmon.alpha": 0.3})
         with pytest.raises(ConfigError, match="system block"):

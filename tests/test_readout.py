@@ -67,6 +67,48 @@ class TestModelGeometry:
         with pytest.raises(ValueError):
             ReadoutModel(means=means, covariances=covs, labels=("g", "e"))
 
+    @pytest.mark.parametrize(
+        "cov, valid",
+        [
+            ([[1.0, 0.0], [0.0, 1.0]], True),
+            ([[1e8, 1.0 + 1e-4], [1.0, 1e8]], True),
+            ([[1e-8, 0.0], [1e-20, 1e-8]], True),
+            ([[1e-8, 0.0], [1e-13, 1e-8]], False),
+            ([[1.0, 1.0 - 1e-9], [1.0 - 1e-9, 1.0]], True),
+            ([[1e8, 1.0 + 1e-3], [1.0, 1e8]], False),
+            ([[1.0, 1.0], [1.0, 1.0]], False),
+            ([[1.0, 0.0], [0.0, -1.0]], False),
+            ([[-1.0, 0.0], [0.0, -1.0]], False),
+            ([[1.0, 0.5], [0.0, 1.0]], False),
+            ([[1.0, np.nan], [np.nan, 1.0]], False),
+            ([[np.inf, 0.0], [0.0, 1.0]], False),
+        ],
+        ids=[
+            "identity", "asymmetry-5e-13", "tiny-scale", "tiny-scale-asymmetric",
+            "near-singular",
+            "asymmetry-5e-12", "singular", "indefinite", "negative",
+            "asymmetric", "nan", "inf",
+        ],
+    )
+    def test_accepts_covariance_exactly_when_mahalanobis_does(self, cov, valid):
+        """One rule for a 2x2 covariance: symmetric to 1e-12 of its
+        diagonal, with positive leading entry and determinant."""
+
+        def accepts(build):
+            try:
+                build()
+            except ValueError:
+                return False
+            return True
+
+        cov, mean = np.array(cov), np.zeros(2)
+        assert accepts(lambda: mahalanobis_sq(np.zeros((1, 2)), mean, cov)) is valid
+        assert accepts(
+            lambda: ReadoutModel(
+                means=mean[None], covariances=cov[None], labels=("g",)
+            )
+        ) is valid
+
     def test_rejects_bad_geometry_args(self):
         with pytest.raises(ValueError):
             default_model(separation=0.0)
@@ -191,9 +233,13 @@ class TestFitGmm:
         shots = synthesize_shots(p, model, 20_000, seed=5)
         fit = fit_gmm(shots, init=model, seed=5)
         assert fit.converged
+        assert isinstance(fit, ReadoutModel)
         assert fit.labels == STATE_LABELS
         assert np.abs(fit.weights - p).max() < 0.02
         assert np.abs(fit.means - model.means).max() < 0.1
+        # component j is the one matched to calibration blob j
+        dist = np.linalg.norm(fit.means[:, None] - model.means[None], axis=2)
+        assert readout._min_cost_matching(dist).tolist() == [0, 1, 2, 3]
 
     def test_blind_fit_labels_by_weight(self):
         model = default_model()
@@ -201,10 +247,18 @@ class TestFitGmm:
         shots = synthesize_shots(p, model, 20_000, seed=11)
         fit = fit_gmm(shots, seed=2)
         assert fit.converged
-        # components come out in arbitrary order; labels rank them
-        order = {lbl: j for j, lbl in enumerate(fit.labels)}
-        weights = fit.weights[[order[lbl] for lbl in STATE_LABELS]]
-        assert np.abs(weights - p).max() < 0.03
+        assert fit.labels == STATE_LABELS
+        assert np.all(np.diff(fit.weights) <= 0.0)
+        assert np.abs(fit.weights - p).max() < 0.03
+
+    @pytest.mark.parametrize(
+        "init", [default_model(), None], ids=["anchored", "blind"]
+    )
+    def test_estimate_from_fit_is_in_label_order(self, init):
+        p = [0.6, 0.25, 0.1, 0.05]
+        shots = synthesize_shots(p, default_model(), 10_000, seed=3)
+        fit = fit_gmm(shots, init=init, seed=3)
+        assert estimate_populations(shots, fit).labels == ("g", "e", "f", "h")
 
     def test_objective_never_decreases(self):
         model = default_model()

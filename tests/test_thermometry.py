@@ -533,14 +533,14 @@ class TestHeatingSlope:
     def test_recovers_linear_trend(self):
         v = np.linspace(0.0, 1.2, 25)
         t = 0.11 + 0.36 * np.clip(v - 0.215, 0.0, None)
-        slope = heating_slope(v, t)
+        slope = heating_slope(v, t, v_min=0.215)
         assert slope == pytest.approx(0.36, rel=1e-6)
 
     def test_masks_subgap_points(self):
         v = np.array([0.0, 0.1, 0.3, 0.6, 0.9, 1.2])
         t = np.where(v > 0.215, 0.4 * v, 99.0)  # junk below the gap edge
-        assert heating_slope(v, t) == pytest.approx(0.4, rel=1e-9)
+        assert heating_slope(v, t, v_min=0.215) == pytest.approx(0.4, rel=1e-9)
 
     def test_needs_three_points_above_onset(self):
         with pytest.raises(ValueError):
-            heating_slope([0.3, 0.4], [0.2, 0.25])
+            heating_slope([0.3, 0.4], [0.2, 0.25], v_min=0.215)
