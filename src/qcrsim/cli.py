@@ -361,9 +361,10 @@ def _stage(name: str):
 def pipeline_fig3d(cfg: ExperimentConfig, outdir: Path, seed: int):
     """Idle thermal state through the full readout chain.
 
-    Calibration shots per prepared state, a thermal-mixture shot set at
-    the idle temperature, a mixture fit on the calibration data and a
-    corrected population estimate + Gibbs fit on the thermal set.
+    Calibration shots per prepared state (a written product only), a
+    10 000-shot thermal-mixture set at the idle temperature, a mixture
+    fit to that set, started from and anchored at the configured blob
+    geometry, and a corrected population estimate + Gibbs fit on it.
     """
     transmon = cfg.as_system().transmon
     p4 = normalize_leading(gibbs_populations(IDLE_TEMPERATURE, transmon), 4)

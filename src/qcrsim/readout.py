@@ -192,11 +192,15 @@ class GmmModel(ReadoutModel):
     """Gaussian mixture fitted by EM: a ReadoutModel, in label order,
     with the mixture weights and the fit's diagnostics.
 
-    loglik_history holds the EM objective after every iteration -- the
-    data log likelihood, plus the calibration-prior log density when the
-    fit is anchored.  EM guarantees the objective never decreases, and
-    the tests hold it to that.  ``loglik`` is always the plain data log
-    likelihood of the returned parameters.
+    loglik_history holds the EM objective -- the data log likelihood,
+    plus the calibration-prior log density when the fit is anchored --
+    of every parameter set the fit accepted, one E step each, ending
+    with that of the returned parameters.  The objective never
+    decreases, and the tests hold it to that.  ``n_iter`` is
+    len(loglik_history), at most EM_MAX_ITER; an extrapolation the fit
+    rejects costs one more E step, counted against EM_MAX_ITER but not
+    recorded.  ``loglik`` is always the plain data log likelihood of the
+    returned parameters.
     """
 
     weights: np.ndarray
@@ -215,18 +219,12 @@ def _as_shots(shots) -> np.ndarray:
     return shots
 
 
-def _math_log(x) -> np.ndarray:
-    # math.log elementwise: np.log can differ from it in the last bit
-    x = np.asarray(x)
-    return np.array([math.log(v) for v in x.ravel().tolist()]).reshape(x.shape)
-
-
 def _log_gaussian(shots, means, covs):
     # log N(x | mean, cov) of each shot for one component, shape (n,), or
     # for a stack of k components, shape (k, n)
     out = _quad_form(shots, means, covs)
     out *= -0.5
-    out += (-math.log(2.0 * math.pi) - 0.5 * _math_log(_det(covs)))[..., None]
+    out += (-math.log(2.0 * math.pi) - 0.5 * np.log(_det(covs)))[..., None]
     return out
 
 
@@ -235,7 +233,7 @@ def _e_step(shots, weights, means, covs):
     # log sum_j w_j N(x | mean_j, cov_j), by a max-shifted log-sum-exp,
     # in place in the one (k, n) array.
     joint = _log_gaussian(shots, means, covs)
-    joint += _math_log(weights)[:, None]
+    joint += np.log(weights)[:, None]
     top = joint.max(axis=0)
     joint -= top
     np.exp(joint, out=joint)
@@ -323,6 +321,43 @@ def _scatter(columns, center, resp, diff, weighted):
     return weighted.T @ diff
 
 
+def _pack(weights, means, covs) -> np.ndarray:
+    # the free parameters as one vector: weights, means, and the xx, xy
+    # and yy entries of each symmetric covariance
+    return np.concatenate(
+        [weights, means.ravel(), covs[:, 0, 0], covs[:, 0, 1], covs[:, 1, 1]]
+    )
+
+
+def _squarem_step(theta0, theta1, theta2, det_floor):
+    # SQUAREM extrapolation (Varadhan & Roland, Scand. J. Statist. 35, 335,
+    # 2008) from two EM maps theta0 -> theta1 -> theta2: with r = theta1 -
+    # theta0 and v = theta2 - theta1 - r, the point theta0 - 2 a r + a^2 v
+    # at a = -|r|/|v| <= -1.  None when that is theta2 itself (a = -1) or
+    # leaves the parameter space: a weight not positive, or a covariance
+    # not positive-definite above the collapse floor.
+    x0, x1, x2 = (_pack(*theta) for theta in (theta0, theta1, theta2))
+    r = x1 - x0
+    v = x2 - x1 - r
+    norm_r, norm_v = float(np.linalg.norm(r)), float(np.linalg.norm(v))
+    if norm_v == 0.0 or norm_r <= norm_v:
+        return None
+    alpha = -norm_r / norm_v
+    x = x0 - 2.0 * alpha * r + alpha**2 * v
+    k = theta0[0].size
+    weights, means = x[:k], x[k : 3 * k].reshape(k, 2)
+    xx, xy, yy = x[3 * k :].reshape(3, k)
+    covs = np.stack([xx, xy, xy, yy], axis=-1).reshape(k, 2, 2)
+    if not (
+        np.isfinite(x).all()
+        and (weights > 0).all()
+        and (xx > 0).all()
+        and (_det(covs) > det_floor).all()
+    ):
+        return None
+    return weights / weights.sum(), means, covs
+
+
 def _log_anchor_prior(means, covs, m0, psi0, kappa0, nu0):
     # Normal-inverse-Wishart log density up to parameter-independent
     # constants: the quantity EM-MAP is guaranteed to ascend is the data
@@ -349,11 +384,18 @@ def fit_gmm(
 
     Initialized from calibration blob geometry when ``init`` is given,
     with one component per calibration blob, else by seeded k-means++
-    with one component per state of STATE_LABELS.  Iterates until the
-    relative change of the objective drops below 1e-8 or 500 iterations.
-    A component whose covariance determinant falls below 1e-12 of the
-    data scale is re-seeded once; a second collapse raises
-    CovarianceCollapseError.
+    with one component per state of STATE_LABELS.  EM is accelerated by
+    SQUAREM (Varadhan & Roland, Scand. J. Statist. 35, 335-353, 2008):
+    every two EM steps the fit extrapolates along the path they took,
+    and keeps the extrapolation only when its weights are positive, its
+    covariances positive-definite above the collapse floor and its
+    objective at least that of the first EM step; else it keeps the
+    second EM step, so the objective never decreases.  Iterates until
+    one such cycle changes the objective by at most EM_RELTOL (1e-8)
+    relative, or for EM_MAX_ITER (500) E steps.  A component whose
+    covariance determinant falls below 1e-12 of the data scale is
+    re-seeded once, and the cycle restarts from there; a second
+    collapse raises CovarianceCollapseError.
 
     The components come back in label order: component j is the one
     matched to calibration blob j by the assignment of least total mean
@@ -408,16 +450,25 @@ def fit_gmm(
 
     columns = np.ascontiguousarray(shots.T)
     diff, weighted = np.empty_like(shots), np.empty_like(shots)
+
+    # One E step per pass.  A SQUAREM cycle maps theta0 -> theta1 ->
+    # theta2 by EM and closes at the extrapolation from the three, or at
+    # theta2; ``fallback`` holds theta2 while the extrapolation is
+    # evaluated, and ``closes`` marks the candidate that ends the cycle.
+    theta0 = None
+    candidate, fallback, closes = (weights, means, covs), None, False
     history = []
-    prev_obj = -math.inf
-    converged = False
-    just_reseeded = False
-    it = 0
-    for it in range(1, EM_MAX_ITER + 1):
-        resp, log_mix = _e_step(shots, weights, means, covs)
+    converged = just_reseeded = False
+    for _ in range(EM_MAX_ITER):
+        resp, log_mix = _e_step(shots, *candidate)
         obj = float(log_mix.sum())
         if anchored:
-            obj += _log_anchor_prior(means, covs, m0, psi0, kappa0, nu0)
+            obj += _log_anchor_prior(*candidate[1:], m0, psi0, kappa0, nu0)
+        if fallback is not None:
+            if obj < history[-1]:  # the extrapolation lost ground: take theta2
+                candidate, fallback = fallback, None
+                continue
+            fallback = None
 
         # EM ascent guarantee; a reseed restarts the sequence
         if (
@@ -426,16 +477,22 @@ def fit_gmm(
             and obj < history[-1] - 1e-10 * abs(history[-1])
         ):
             raise RuntimeError(
-                f"EM objective decreased at iteration {it}: "
+                f"EM objective decreased at E step {len(history) + 1}: "
                 f"{history[-1]} -> {obj}"
             )
+        # history ends with the objectives of theta0 and theta1
+        converged = closes and abs(obj - history[-2]) <= EM_RELTOL * abs(obj)
         history.append(obj)
+        theta, loglik = candidate, float(log_mix.sum())
+        if converged:
+            break
         just_reseeded = False
 
-        # M step
+        # M step, into new arrays: theta0 and theta stay for the extrapolation
         nk = resp.sum(axis=1)
         weights = nk / n
         xbar = (resp @ shots) / nk[:, None]
+        covs = np.empty((k, d, d))
         if anchored:
             means = (kappa0 * m0 + nk[:, None] * xbar) / (kappa0 + nk)[:, None]
             for j in range(k):
@@ -449,6 +506,7 @@ def fit_gmm(
             means = xbar
             for j in range(k):
                 covs[j] = _scatter(columns, means[j], resp[j], diff, weighted) / nk[j]
+        candidate, closes = (weights, means, covs), theta0 is not None
 
         collapsed = [j for j in range(k) if _det(covs[j]) < det_floor]
         for j in collapsed:
@@ -461,15 +519,19 @@ def fit_gmm(
             covs[j] = np.cov(shots.T) + 1e-6 * np.eye(2)
             weights[j] = 1.0 / k
             weights = weights / weights.sum()
-            prev_obj = -math.inf  # restart the convergence window
             just_reseeded = True
+        if collapsed:
+            # a new cycle starts from the reseeded parameters
+            candidate, theta0, closes = (weights, means, covs), None, False
+        elif theta0 is None:
+            theta0 = theta
+        else:
+            step = _squarem_step(theta0, theta, candidate, det_floor)
+            if step is not None:
+                candidate, fallback = step, candidate
+            theta0 = None
 
-        if not collapsed:
-            if abs(obj - prev_obj) <= EM_RELTOL * abs(obj):
-                converged = True
-                break
-            prev_obj = obj
-
+    weights, means, covs = theta
     if init is not None:
         # put on blob j the component the least-distance matching gives it
         dist = np.linalg.norm(means[:, None, :] - init.means[None], axis=2)
@@ -483,9 +545,9 @@ def fit_gmm(
         means=means,
         covariances=covs,
         labels=STATE_LABELS if init is None else init.labels,
-        loglik=float(_e_step(shots, weights, means, covs)[1].sum()),
+        loglik=loglik,
         converged=converged,
-        n_iter=it,
+        n_iter=len(history),
         loglik_history=np.array(history),
     )
 

@@ -15,10 +15,10 @@ import pytest
 from qcrsim.cli import PIPELINE_PRESETS, main
 
 GOLDEN = {
-    ("fig3d", "populations.csv"): "1a06c4b5ee42afc5db8a2219cda198f185967393bb5d77204e55d11263e951ee",
+    ("fig3d", "populations.csv"): "9bf61b8fda26a4682f8306167d47e2c7097129f0e523a87a875e93dfa160031a",
     ("fig3d", "shots.csv"): "46bfb6d638f7c35c52da926035b5121f96f056504df261e1dc320178d6f3dadb",
     ("fig3d", "shots_calibration.csv"): "b40a0ed05eecc61dc426a100fad6a1d8c17b1a81d6b640b2b4e5f85a74092564",
-    ("fig3d", "thermo.csv"): "74a40441b3642dcbe200be17fe522ca15e37733cc0f562035316cbd249b32ec4",
+    ("fig3d", "thermo.csv"): "490acfe5a954da5bf92c00bd7dbffd4c616e69f4dad1c94a6d7e4dbfd7611520",
     ("fig4a", "sweep_populations.csv"): "b2d5805844498057bfc8c57516e63e9a978970b4d273e4230b1a72f8863589df",
     ("fig4a", "thermo.csv"): "b0c89f03b0959dd734841643e8d015623c56374fc31f7d49a376875e89ff9f4d",
     ("fig4b", "evolve_0p3mV.csv"): "0ca380a962db85a6fde31b88228d770ab467f6f5522af8786c28426c1e587753",
@@ -32,10 +32,10 @@ GOLDEN = {
     ("fig4b", "thermo_1p2mV.csv"): "b713a13b154949df2f053ab48c839788dac57c9e8ede8a8ad67efb7cfae8b818",
     ("otto-demo", "otto.csv"): "7c0929758d5aa3a76014c5b790c4f68e98e456f1f01e91c2f7037b27e38c4762",
     ("full", "evolve.csv"): "af3368f19a49e756ad122bf7a06f5bcbc596e99d4b1cb5d87b5d4d8b507817ce",
-    ("full", "populations.csv"): "8d5f5d98cbfca7f1d800f5f6f976f3bc6603948de0b42ffa5bbd3bb2ff786293",
+    ("full", "populations.csv"): "52c7f2ccf30192da9c4072e50834eeeffdb3a38c13b2d9a0e4832cc9201b7f9f",
     ("full", "rates.csv"): "b12deec1fd98bc4e8195e11e504145f8d805955d90583025f5e9bcc9f701f88e",
     ("full", "shots.csv"): "fd0323e123881ea203d3adbf05effcb2b102f8046b5988e332cfc23c50c85c78",
-    ("full", "thermo.csv"): "970da3ea53bff3e5c78ad8bd0d8507c61f6ffc9476fe39b71410b00cbd2ed387",
+    ("full", "thermo.csv"): "adfaf919dbd5cdc97600595a5b6ac5c64dbc2f8cde5db1a472774bf72ff098c3",
 }
 
 

@@ -226,6 +226,55 @@ class TestSynthesizeShots:
             synthesize_shots([0.25] * 4, model, 0)
 
 
+def anchored_objective(shots, init, weights, means, covs, anchor=200.0):
+    # the anchored fit's objective: data log likelihood plus the log
+    # density of the calibration prior
+    log_mix = readout._e_step(shots, weights, means, covs)[1]
+    prior = readout._log_anchor_prior(
+        means, covs, init.means, (anchor + 4) * init.covariances, anchor, anchor
+    )
+    return float(log_mix.sum()) + prior
+
+
+def plain_em(shots, init, reltol, anchor=200.0):
+    """Plain EM, the reference for fit_gmm's extrapolated loop: one E step
+    per M step of the anchored (MAP) update, until the objective changes
+    by at most ``reltol`` relative; returns the parameters after the last
+    M step."""
+    n, k = shots.shape[0], init.n_components
+    m0, psi0 = init.means, (anchor + 4) * init.covariances
+    weights, means, covs = np.full(k, 1.0 / k), init.means, init.covariances
+    prev = -math.inf
+    for _ in range(10_000):
+        resp, log_mix = readout._e_step(shots, weights, means, covs)
+        obj = log_mix.sum() + readout._log_anchor_prior(
+            means, covs, m0, psi0, anchor, anchor
+        )
+        nk = resp.sum(axis=1)
+        xbar = resp @ shots / nk[:, None]
+        diff = shots - xbar[:, None]
+        scatter = np.einsum("jn,jna,jnb->jab", resp, diff, diff)
+        pull = xbar - m0
+        shrink = anchor * nk / (anchor + nk)
+        weights = nk / n
+        means = (anchor * m0 + nk[:, None] * xbar) / (anchor + nk)[:, None]
+        covs = (
+            psi0 + scatter + shrink[:, None, None] * pull[:, :, None] * pull[:, None]
+        ) / (anchor + nk + 4)[:, None, None]
+        if abs(obj - prev) <= reltol * abs(obj):
+            return weights, means, covs
+        prev = obj
+    raise AssertionError("plain EM did not converge")
+
+
+def extrapolated_weights(theta0, theta1, theta2):
+    # the weights of the SQUAREM point from two EM maps, before any check
+    x0, x1, x2 = (readout._pack(*theta) for theta in (theta0, theta1, theta2))
+    r, v = x1 - x0, x2 - 2.0 * x1 + x0
+    alpha = min(-1.0, -np.linalg.norm(r) / np.linalg.norm(v))
+    return (x0 - 2.0 * alpha * r + alpha**2 * v)[: theta0[0].size]
+
+
 class TestFitGmm:
     def test_anchored_fit_recovers_mixture(self):
         model = default_model()
@@ -260,13 +309,95 @@ class TestFitGmm:
         fit = fit_gmm(shots, init=init, seed=3)
         assert estimate_populations(shots, fit).labels == ("g", "e", "f", "h")
 
-    def test_objective_never_decreases(self):
+    def test_objective_never_decreases(self, monkeypatch):
+        steps = []
+        squarem_step = readout._squarem_step
+
+        def spy(*args):
+            steps.append((args, squarem_step(*args)))
+            return steps[-1][1]
+
+        monkeypatch.setattr(readout, "_squarem_step", spy)
         model = default_model()
-        shots = synthesize_shots([0.5, 0.3, 0.15, 0.05], model, 15_000, seed=6)
-        for anchor in (None, 0.0):
-            fit = fit_gmm(shots, init=model, seed=6, anchor=anchor)
+        mixed, empty = [0.5, 0.3, 0.15, 0.05], [0.75, 0.25, 0.0, 0.0]
+        for p, init, anchor in [
+            (mixed, model, None),
+            (mixed, model, 0.0),
+            (mixed, None, None),  # blind
+            (empty, model, None),
+        ]:
+            steps.clear()
+            shots = synthesize_shots(p, model, 15_000, seed=6)
+            fit = fit_gmm(shots, init=init, seed=6, anchor=anchor)
             h = fit.loglik_history
             assert np.all(np.diff(h) >= -1e-10 * np.abs(h[:-1]))
+        # in the last, empty-component fit the weights of the empty
+        # components head for zero and the extrapolation overshoots them:
+        # the fit must fall back
+        left = [
+            result is None
+            for args, result in steps
+            if (extrapolated_weights(*args[:3]) <= 0.0).any()
+        ]
+        assert left and all(left)
+
+    @pytest.mark.parametrize(
+        "init", [default_model(), None], ids=["anchored", "blind"]
+    )
+    @pytest.mark.parametrize("max_iter", [7, 8, readout.EM_MAX_ITER])
+    def test_n_iter_counts_recorded_e_steps(self, monkeypatch, init, max_iter):
+        e_steps = []
+        e_step = readout._e_step
+
+        def spy(*args):
+            e_steps.append(1)
+            return e_step(*args)
+
+        monkeypatch.setattr(readout, "EM_MAX_ITER", max_iter)
+        monkeypatch.setattr(readout, "_e_step", spy)
+        p = [0.6, 0.25, 0.1, 0.05]
+        shots = synthesize_shots(p, default_model(), 10_000, seed=12)
+        fit = fit_gmm(shots, init=init, seed=12)
+        assert fit.n_iter == len(fit.loglik_history) <= len(e_steps) <= max_iter
+        if max_iter < 10:
+            assert not fit.converged and len(e_steps) == max_iter
+
+    @pytest.mark.parametrize(
+        "p",
+        [[0.829, 0.134, 0.030, 0.007], [0.40, 0.31, 0.19, 0.10]],
+        ids=["idle", "heated"],
+    )
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_anchored_objective_near_plain_em_reference(self, p, seed):
+        """SQUAREM stops no further below the optimum than plain EM does."""
+        model = default_model()
+        shots = synthesize_shots(p, model, 10_000, seed=seed)
+        reference = anchored_objective(shots, model, *plain_em(shots, model, 1e-13))
+        plain = anchored_objective(
+            shots, model, *plain_em(shots, model, readout.EM_RELTOL)
+        )
+        fit = fit_gmm(shots, init=model, seed=seed)
+        fitted = anchored_objective(
+            shots, model, fit.weights, fit.means, fit.covariances
+        )
+        assert fit.loglik_history[-1] == pytest.approx(fitted, rel=1e-12)
+        assert 0.0 < reference - plain
+        assert reference - fitted <= reference - plain
+
+    def test_single_collapse_is_reseeded(self):
+        """A component seeded on a few repeated points collapses at the
+        first M step; reseeded once, the fit goes on and converges."""
+        model = default_model()
+        means, covs = model.means.copy(), model.covariances.copy()
+        means[3], covs[3] = (9.0, 9.0), 0.01 * np.eye(2)
+        init = ReadoutModel(means=means, covariances=covs)
+        good = synthesize_shots([0.4, 0.3, 0.2, 0.1], model, 15_000, seed=3)
+        shots = np.vstack([good, np.tile([[9.0, 9.0]], (3, 1))])
+        fit = fit_gmm(shots, init=init, seed=0, anchor=0.0)
+        assert fit.converged
+        assert np.linalg.norm(fit.means - (9.0, 9.0), axis=1).min() > 5.0
+        h = fit.loglik_history
+        assert np.all(np.diff(h[1:]) >= -1e-10 * np.abs(h[1:-1]))
 
     def test_unanchored_prior_requires_init(self):
         model = default_model()
