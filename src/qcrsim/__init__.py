@@ -47,7 +47,9 @@ from .readout import (
     PopulationEstimate,
     ReadoutModel,
     SingularCorrectionError,
+    correct_counts,
     correction_matrix,
+    count_within_sigma,
     default_model,
     estimate_populations,
     fit_gmm,

@@ -41,7 +41,13 @@ from .constants import AJ_PER_GHZ
 from .dynamics import BiasPulse, DensityMatrix, evolve
 from .otto import OttoSpec, run_cycle
 from .qcr import transition_rates
-from .readout import estimate_populations, fit_gmm, synthesize_shots
+from .readout import (
+    correct_counts,
+    count_within_sigma,
+    estimate_populations,
+    fit_gmm,
+    synthesize_shots,
+)
 from .seeding import named_rng
 from .thermometry import (
     fit_gibbs,
@@ -387,7 +393,12 @@ def pipeline_fig3d(cfg: ExperimentConfig, outdir: Path, seed: int):
 
 def pipeline_fig4a(cfg: ExperimentConfig, outdir: Path, seed: int):
     """Amplitude sweep: 100 ns pulses, populations through synthetic
-    readout, Gibbs fit per point, heating slope above the gap."""
+    readout, Gibbs fit per point, heating slope above the gap.
+
+    Each of the 13 points draws 20 000 shots and counts them inside the
+    1-sigma ellipses, then drops them; the (13, 4) count table is
+    corrected once, with one confusion matrix for the one readout model.
+    """
     system = cfg.as_system()
     junction = cfg.as_junction()
     coupling = cfg.as_coupling()
@@ -396,7 +407,8 @@ def pipeline_fig4a(cfg: ExperimentConfig, outdir: Path, seed: int):
     rho0 = DensityMatrix.gibbs(IDLE_TEMPERATURE, transmon)
 
     amplitudes = [round(0.1 * i, 1) for i in range(13)]  # 0 .. 1.2 mV
-    p = np.empty((len(amplitudes), 4))
+    n_shots = 20000
+    counts = np.empty((len(amplitudes), model.n_components))
     for i, amp in enumerate(amplitudes):
         pulse = BiasPulse(dc_offset=0.0, amplitude=amp, duration=100.0)
         with _stage("evolve"):
@@ -405,10 +417,13 @@ def pipeline_fig4a(cfg: ExperimentConfig, outdir: Path, seed: int):
         p_true = normalize_leading(traj.final.populations(), 4)
         with _stage("shots"):
             shots = synthesize_shots(
-                p_true, model, 20000, _seed_for(seed, "fig4a-shots", i)
+                p_true, model, n_shots, _seed_for(seed, "fig4a-shots", i)
             )
         with _stage("fit"):
-            p[i] = estimate_populations(shots, model).populations
+            counts[i] = count_within_sigma(shots, model)
+        del shots
+    with _stage("fit"):
+        p = correct_counts(counts, n_shots, model).populations
 
     write_csv(
         outdir / "sweep_populations.csv",

@@ -91,24 +91,40 @@ def synthesize_shots(
     point from its blob's Gaussian, all from the named sub-stream
     ("shots", seed).  Returns an (n,2) array, plus the state index per
     shot when ``return_states``.
+
+    Raises ValueError, before any draw, unless ``populations`` holds one
+    finite non-negative value per component with a finite positive sum
+    and ``n_shots`` is a positive integer (bool excluded).
     """
     p = np.asarray(populations, dtype=float)
     if p.shape != (model.n_components,):
         raise ValueError(f"populations must have shape ({model.n_components},)")
-    if p.min() < 0 or p.sum() <= 0:
-        raise ValueError("populations must be non-negative with positive sum")
+    if not np.isfinite(p).all() or p.min() < 0:
+        raise ValueError(f"populations {p.tolist()} must be finite and non-negative")
+    with np.errstate(over="ignore"):
+        total = p.sum()
+    if not 0 < total < math.inf:
+        raise ValueError(f"populations {p.tolist()} must have a finite positive sum")
+    if isinstance(n_shots, bool) or not isinstance(n_shots, (int, np.integer)):
+        raise ValueError(f"n_shots must be an integer, got {n_shots!r}")
     if n_shots < 1:
         raise ValueError(f"n_shots must be positive, got {n_shots}")
-    p = p / p.sum()
 
     rng = named_rng(seed, "shots")
-    states = rng.choice(model.n_components, size=n_shots, p=p)
+    states = rng.choice(model.n_components, size=n_shots, p=p / total)
     z = rng.standard_normal((n_shots, 2))
-    chol = np.linalg.cholesky(model.covariances)  # (k,2,2)
-    shots = model.means[states] + np.einsum("nij,nj->ni", chol[states], z)
+    # shot = mean + L z with L = chol(cov) lower-triangular, from 1-D takes
+    # of the per-component entries, each coordinate summed as in the
+    # matrix product L[s] @ z so it rounds the same.  Written over z.
+    chol = np.linalg.cholesky(model.covariances)
+    i = chol[:, 0, 0].take(states) * z[:, 0] + model.means[:, 0].take(states)
+    q = chol[:, 1, 0].take(states) * z[:, 0]
+    q += chol[:, 1, 1].take(states) * z[:, 1]
+    q += model.means[:, 1].take(states)
+    z[:, 0], z[:, 1] = i, q
     if return_states:
-        return shots, states
-    return shots
+        return z, states
+    return z
 
 
 def fraction_within_sigma(m: float = 1.0) -> float:
@@ -554,7 +570,8 @@ def fit_gmm(
 
 @dataclass(frozen=True)
 class PopulationEstimate:
-    """Corrected populations with their raw ellipse counts."""
+    """Corrected populations with their raw ellipse counts: one (k,) row
+    each, or an (m, k) table of rows sharing one correction."""
 
     populations: np.ndarray
     raw_counts: np.ndarray
@@ -624,29 +641,47 @@ def correction_matrix(model) -> np.ndarray:
     )
 
 
-def estimate_populations(shots, model, seed: int = 0) -> PopulationEstimate:
-    """Populations from within-1-sigma counts, confusion-corrected.
+def count_within_sigma(shots, model) -> np.ndarray:
+    """Number of shots inside each component's 1-sigma ellipse, shape (k,).
 
-    Counts how many shots fall inside each component's 1-sigma ellipse
-    (a shot may land in several or none), solves M p = counts/n with the
-    confusion matrix of ``correction_matrix``, clips negatives and
-    renormalizes.  The estimate is deterministic: ``seed`` is accepted
-    for existing callers and ignored.
-
-    Raises ValueError unless ``shots`` is a finite (n, 2) array with
-    n >= 1, and SingularCorrectionError when cond(M) > 1e8, which is what
-    heavily overlapping blob geometries produce.
+    A shot may land in several ellipses or none.  Raises ValueError
+    unless ``shots`` is a finite (n, 2) array with n >= 1 and every
+    component of ``model`` is a valid blob.
     """
     shots = _as_shots(shots)
     means = np.asarray(model.means)
     covs = np.asarray(model.covariances)
-    k = means.shape[0]
-
     # one component at a time: a (k, n) pass holds k times the memory
-    counts = np.empty(k)
+    counts = np.empty(means.shape[0])
     for i, (mean, cov) in enumerate(zip(means, covs)):
         _check_component(mean, cov)
         counts[i] = np.count_nonzero(_quad_form(shots, mean, cov) <= 1.0)
+    return counts
+
+
+def correct_counts(counts, n_shots, model) -> PopulationEstimate:
+    """Confusion-corrected populations from within-1-sigma counts.
+
+    ``counts`` is one (k,) row of ``count_within_sigma`` or an (m, k)
+    table of them, each row counted from ``n_shots`` shots.  Builds the
+    confusion matrix M of
+    ``correction_matrix`` once, solves M p = counts/n row by row, clips
+    negatives and renormalizes each row; the estimate has the shape of
+    ``counts``.
+
+    Raises ValueError on malformed counts or shot numbers, and
+    SingularCorrectionError when cond(M) > 1e8, which is what heavily
+    overlapping blob geometries produce, or when a row's corrected
+    populations sum to zero.
+    """
+    counts = np.asarray(counts, dtype=float)
+    k = np.asarray(model.means).shape[0]
+    if counts.ndim not in (1, 2) or counts.shape[-1] != k or counts.size == 0:
+        raise ValueError(f"counts must be (k,) or (m, k) with k = {k}, got {counts.shape}")
+    if not np.isfinite(counts).all() or counts.min() < 0:
+        raise ValueError(f"counts {counts.tolist()} must be finite and non-negative")
+    if not 0 < n_shots < math.inf:
+        raise ValueError(f"n_shots must be positive, got {n_shots}")
 
     m = correction_matrix(model)
     cond = float(np.linalg.cond(m))
@@ -655,11 +690,14 @@ def estimate_populations(shots, model, seed: int = 0) -> PopulationEstimate:
             f"confusion matrix condition number {cond:.3e} exceeds {COND_LIMIT:.0e}"
         )
 
-    p = np.linalg.solve(m, counts / shots.shape[0])
+    # one right-hand side per solve, as for a single row
+    p = np.linalg.solve(m, (counts / n_shots)[..., None])[..., 0]
     p = np.clip(p, 0.0, None)
-    total = p.sum()
-    if total <= 0:
-        raise SingularCorrectionError("corrected populations sum to zero")
+    total = p.sum(axis=-1, keepdims=True)
+    if (total <= 0).any():
+        rows = np.flatnonzero(total <= 0).tolist()
+        where = "" if counts.ndim == 1 else f" in row(s) {rows}"
+        raise SingularCorrectionError(f"corrected populations sum to zero{where}")
     return PopulationEstimate(
         populations=p / total,
         raw_counts=counts,
@@ -667,3 +705,16 @@ def estimate_populations(shots, model, seed: int = 0) -> PopulationEstimate:
         labels=tuple(model.labels),
         condition_number=cond,
     )
+
+
+def estimate_populations(shots, model, seed: int = 0) -> PopulationEstimate:
+    """Populations from within-1-sigma counts, confusion-corrected:
+    ``correct_counts(count_within_sigma(shots, model), n, model)``.
+
+    The estimate is deterministic: ``seed`` is accepted for existing
+    callers and ignored.  Raises ValueError unless ``shots`` is a finite
+    (n, 2) array with n >= 1, and SingularCorrectionError when cond(M) >
+    1e8, which is what heavily overlapping blob geometries produce.
+    """
+    counts = count_within_sigma(shots, model)
+    return correct_counts(counts, np.shape(shots)[0], model)

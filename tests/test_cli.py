@@ -9,7 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import qcrsim
-from qcrsim import CouplingSpec, JunctionSpec, SystemSpec
+from qcrsim import CouplingSpec, JunctionSpec, SystemSpec, readout
 from qcrsim.cli import PIPELINE_PRESETS, build_parser, main
 from qcrsim.constants import AJ_PER_GHZ
 from qcrsim.otto import OttoSpec, run_cycle
@@ -437,6 +437,20 @@ class TestPipelines:
         assert (np.diff(above[:, 1]) > 0).all()
         summary = dict(c.split(" = ") for c in comments)
         assert 0.18 <= float(summary["slope_K_per_mV"]) <= 0.72
+
+    def test_fig4a_builds_one_correction_matrix(self, tmp_path, monkeypatch):
+        calls = []
+        build = readout.correction_matrix
+
+        def spy(model):
+            calls.append(model)
+            return build(model)
+
+        monkeypatch.setattr(readout, "correction_matrix", spy)
+        assert main(
+            ["pipeline", "fig4a", "--seed", "1", "--outdir", str(tmp_path)]
+        ) == 0
+        assert len(calls) == 1
 
     def test_full_pipeline_products_and_determinism(self, tmp_path):
         for sub in ("a", "b"):

@@ -17,7 +17,9 @@ from qcrsim.readout import (
     CovarianceCollapseError,
     ReadoutModel,
     SingularCorrectionError,
+    correct_counts,
     correction_matrix,
+    count_within_sigma,
     default_model,
     estimate_populations,
     fit_gmm,
@@ -224,6 +226,68 @@ class TestSynthesizeShots:
             synthesize_shots([0.5, 0.5, 0.5, -0.5], model, 100)
         with pytest.raises(ValueError):
             synthesize_shots([0.25] * 4, model, 0)
+
+    @pytest.mark.parametrize(
+        "populations, n_shots, message",
+        [
+            ([0.5, np.nan, 0.25, 0.25], 100, "nan"),
+            ([0.5, np.inf, 0.25, 0.25], 100, "inf"),
+            ([1e308, 1e308, 0.0, 0.0], 100, "1e+308"),
+            ([0.0] * 4, 100, "[0.0, 0.0, 0.0, 0.0]"),
+            ([0.25] * 4, 2.5, "2.5"),
+            ([0.25] * 4, True, "True"),
+        ],
+        ids=["nan", "inf", "overflowing-sum", "zero-sum", "float-n", "bool-n"],
+    )
+    def test_rejects_bad_input_before_drawing(
+        self, monkeypatch, populations, n_shots, message
+    ):
+        def no_draws(*args):
+            raise AssertionError("synthesize_shots drew before validating")
+
+        monkeypatch.setattr(readout, "named_rng", no_draws)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            synthesize_shots(populations, default_model(), n_shots)
+
+    def test_accepts_numpy_integer_shot_count(self):
+        p = [0.7, 0.2, 0.07, 0.03]
+        a = synthesize_shots(p, default_model(), np.int64(300), seed=5)
+        assert a.tobytes() == synthesize_shots(p, default_model(), 300, seed=5).tobytes()
+
+    @pytest.mark.parametrize("case", range(12))
+    def test_matches_cholesky_gather_oracle(self, case):
+        rng = np.random.default_rng(case)
+        model = random_geometry(rng)
+        p = rng.dirichlet(np.ones(4)) if case % 3 else np.eye(4)[case % 4]
+        n = int(rng.integers(1, 5000))
+        shots, states = synthesize_shots(p, model, n, seed=case, return_states=True)
+        want, want_states = gather_synthesis(p, model, n, seed=case)
+        assert shots.tobytes() == want.tobytes()
+        assert states.tobytes() == want_states.tobytes()
+        assert synthesize_shots(p, model, n, seed=case).tobytes() == want.tobytes()
+
+
+def random_geometry(rng):
+    """Four blobs with correlated covariances, one of them stretched to an
+    axis ratio up to 1e6."""
+    a = rng.standard_normal((4, 2, 2)) * rng.uniform(0.1, 10.0, (4, 1, 1))
+    covs = a @ np.swapaxes(a, 1, 2) + 1e-3 * np.eye(2)
+    r, t = 10.0 ** rng.uniform(0.0, 3.0), rng.uniform(0.0, math.pi)
+    q = np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+    covs[0] = q @ np.diag([r, 1.0 / r]) @ q.T
+    return ReadoutModel(means=3.0 * rng.standard_normal((4, 2)), covariances=covs)
+
+
+def gather_synthesis(populations, model, n_shots, seed):
+    """Shots and states the way synthesize_shots drew them through a
+    per-shot (n, 2, 2) gather of Cholesky factors: same draws, and
+    means[s] + L[s] @ z by einsum."""
+    p = np.asarray(populations, dtype=float)
+    rng = named_rng(seed, "shots")
+    states = rng.choice(model.n_components, size=n_shots, p=p / p.sum())
+    z = rng.standard_normal((n_shots, 2))
+    chol = np.linalg.cholesky(model.covariances)
+    return model.means[states] + np.einsum("nij,nj->ni", chol[states], z), states
 
 
 def anchored_objective(shots, init, weights, means, covs, anchor=200.0):
@@ -624,3 +688,64 @@ class TestEstimatePopulations:
         shots = synthesize_shots([0.25] * 4, model, 1_000, seed=14)
         with pytest.raises(SingularCorrectionError):
             estimate_populations(shots, model, seed=14)
+        counts = count_within_sigma(shots, model)
+        with pytest.raises(SingularCorrectionError, match="condition number"):
+            correct_counts(np.stack([counts, counts]), 1_000, model)
+
+
+def count_table(model, n_shots):
+    """Shot sets of a few population rows, and their count table."""
+    rows = [[0.83, 0.14, 0.025, 0.005], [0.4, 0.3, 0.2, 0.1], [0.0, 0.0, 1.0, 0.0]]
+    sets = [synthesize_shots(p, model, n_shots, seed=20 + i) for i, p in enumerate(rows)]
+    return sets, np.array([count_within_sigma(shots, model) for shots in sets])
+
+
+class TestCorrectCounts:
+    @pytest.mark.parametrize(
+        "model", [default_model(), anisotropic_model()], ids=["default", "anisotropic"]
+    )
+    def test_table_equals_single_rows(self, model):
+        sets, table = count_table(model, 3_000)
+        est = correct_counts(table, 3_000, model)
+        assert est.populations.shape == table.shape
+        assert est.raw_counts.tobytes() == table.tobytes()
+        for i, shots in enumerate(sets):
+            row = correct_counts(table[i], 3_000, model)
+            single = estimate_populations(shots, model)
+            for one in (row, single):
+                assert est.populations[i].tobytes() == one.populations.tobytes()
+                assert est.raw_counts[i].tobytes() == one.raw_counts.tobytes()
+                assert est.correction.tobytes() == one.correction.tobytes()
+                assert est.condition_number == one.condition_number
+                assert est.labels == one.labels
+
+    def test_zero_sum_row_is_singular(self):
+        model = default_model()
+        zero = np.zeros(4)
+        with pytest.raises(SingularCorrectionError, match="sum to zero"):
+            correct_counts(zero, 100, model)
+        _, table = count_table(model, 2_000)
+        table[1] = zero
+        with pytest.raises(SingularCorrectionError, match=r"row\(s\) \[1\]"):
+            correct_counts(table, 2_000, model)
+
+    @pytest.mark.parametrize(
+        "counts, n_shots",
+        [
+            (np.ones(3), 10),
+            (np.ones((2, 3)), 10),
+            (np.ones((2, 2, 4)), 10),
+            (np.empty((0, 4)), 10),
+            ([1.0, -1.0, 1.0, 1.0], 10),
+            ([1.0, np.nan, 1.0, 1.0], 10),
+            (np.ones(4), 0),
+            (np.ones(4), np.nan),
+        ],
+        ids=[
+            "wrong-k", "wrong-k-table", "three-axes", "no-rows", "negative",
+            "nan", "zero-shots", "nan-shots",
+        ],
+    )
+    def test_rejects_malformed_counts(self, counts, n_shots):
+        with pytest.raises(ValueError):
+            correct_counts(counts, n_shots, default_model())
