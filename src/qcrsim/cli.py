@@ -549,6 +549,10 @@ def cmd_shots(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    if args.anchor is not None and not 0 <= args.anchor < np.inf:
+        raise ConfigError(f"--anchor must be finite and >= 0, got {args.anchor}")
+    if args.blind and args.anchor:  # None and 0 anchor nothing
+        raise ConfigError("--anchor > 0 needs the configured geometry, not --blind")
     cfg, outdir, seed = _resolve(args)
     columns = read_csv_columns(Path(args.shots), ("i", "q"))
     model_path, pops_path, est = stage_fit(

@@ -93,12 +93,6 @@ class GibbsFit:
     thermal: bool | np.ndarray = True
 
 
-def _rowdot(a, b) -> np.ndarray:
-    # row-wise dot products as a stack of 1 x k by k x 1 products, which
-    # round exactly as the 1-d ``a @ b`` of each row does
-    return (a[:, None, :] @ b[..., None])[:, 0, 0]
-
-
 def _gibbs_derivatives(beta, p, e):
     # R, R' and R'' of each row at its beta.  q = softmax(-beta e),
     # u = e - <e>_q:  q' = -q u, q'' = q (u^2 - var u), so
@@ -107,14 +101,14 @@ def _gibbs_derivatives(beta, p, e):
     w = np.exp(-beta[:, None] * e)
     total = w.sum(axis=1)
     q = w / total[:, None]
-    u = e - _rowdot(q, e)[:, None]
+    u = e - (q @ e)[:, None]
     qu = q * u
     d = p - q
     # p_0 - q_0 from 1 - q_0 = sum(w[1:]) / sum(w): when the excited
     # populations are tiny, p_0 - q_0 rounded near 1 would be noise.
     d[:, 0] = (p[:, 0] - 1.0) + (total - w[:, 0]) / total
-    r2 = _rowdot(qu, qu) - _rowdot(d, qu * u) + _rowdot(qu, u) * _rowdot(d, q)
-    return _rowdot(d, d), 2.0 * _rowdot(d, qu), 2.0 * r2
+    r2 = (qu * qu).sum(1) - (d * qu * u).sum(1) + (qu * u).sum(1) * (d * q).sum(1)
+    return (d * d).sum(1), 2.0 * (d * qu).sum(1), 2.0 * r2
 
 
 def fit_gibbs(p_measured, spec: TransmonSpec) -> GibbsFit:
@@ -130,7 +124,8 @@ def fit_gibbs(p_measured, spec: TransmonSpec) -> GibbsFit:
     estimate from p_0/p_1; when R' does not change sign in the range the
     bound it points to is returned exactly.  The rows of a table are
     solved together, each with its own bracket, until each has met the
-    stopping rule; every row rounds exactly as it does when fitted alone.
+    stopping rule; each row agrees with its fit alone to within a few ulps
+    (batched products may round differently in the last bits).
 
     ``uncertainty`` is sqrt(2 s^2 / R''(T)) with s^2 = R/(k-1): a
     residual-curvature error that says how well one temperature
@@ -163,22 +158,16 @@ def fit_gibbs(p_measured, spec: TransmonSpec) -> GibbsFit:
         fail(ValueError, "populations sum to zero", np.flatnonzero(total <= 0)[0])
     rows = rows / total[:, None]
 
-    temperature = np.full(n, math.nan)
-    uncertainty = np.full(n, math.nan)
-    residual = np.full(n, math.nan)
+    temperature, uncertainty, residual = np.full((3, n), math.nan)
     thermal = is_monotone_thermal(rows)
     idx = np.flatnonzero(thermal)
     p = rows[idx]
     e = H_OVER_KB * transmon_energies(spec)[:k]  # K, e[0] = 0
 
     lo, hi = 1.0 / T_BOUNDS[1], 1.0 / T_BOUNDS[0]
-    # math.log rounds as the scalar fit always has; np.log can differ by an ulp
-    beta = np.array(
-        [
-            math.log(p0 / p1) / e[1] if p1 > 0 else hi
-            for p0, p1 in p[:, :2].tolist()
-        ]
-    )
+    # p_1 = 0, or p_0 / p_1 beyond the largest double, starts at hi
+    with np.errstate(divide="ignore", over="ignore"):
+        beta = np.log(p[:, 0] / p[:, 1]) / e[1]
     beta = np.minimum(np.maximum(beta, lo), hi)
     r_min, r1, r2 = _gibbs_derivatives(beta, p, e)
     # The minimum lies downhill of the start: inside the bracket it forms
@@ -228,14 +217,12 @@ def fit_gibbs(p_measured, spec: TransmonSpec) -> GibbsFit:
     temperature[idx] = 1.0 / beta
     residual[idx] = r_min
     # curvature-based 1-sigma: var = 2 s^2 / R''(T), s^2 = R/(k-1), with
-    # d2R/dT2 = beta^4 R''(beta) + 2 beta^3 R'(beta).  Per row in Python:
-    # libm pow and NumPy's power can differ in the last bit.
-    dof = max(k - 1, 1)
-    for i, b, r, d1, d2 in zip(*(x.tolist() for x in (idx, beta, r_min, r1, r2))):
-        r_pp = b**4 * d2 + 2.0 * b**3 * d1
-        uncertainty[i] = (
-            math.sqrt(max(2.0 * (r / dof) / r_pp, 0.0)) if r_pp > 0 else math.inf
-        )
+    # d2R/dT2 = beta^4 R''(beta) + 2 beta^3 R'(beta); inf where that is <= 0
+    r_pp = beta**4 * r2 + 2.0 * beta**3 * r1
+    var = np.divide(
+        2.0 * (r_min / (k - 1)), r_pp, out=np.full(idx.size, math.inf), where=r_pp > 0
+    )
+    uncertainty[idx] = np.sqrt(var)
 
     if not table:
         return GibbsFit(

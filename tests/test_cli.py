@@ -230,6 +230,23 @@ class TestFitAndThermo:
         ) == 1
         assert "nope.csv" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--anchor", "nan"],
+            ["--anchor", "inf"],
+            ["--anchor", "-1"],
+            ["--blind", "--anchor", "5"],
+        ],
+    )
+    def test_bad_anchor_is_usage_error(self, tmp_path, capsys, flags):
+        # checked before the shots are read: the missing file is not reached
+        shots = str(tmp_path / "nope.csv")
+        argv = ["fit", "--shots", shots, *flags, "--outdir", str(tmp_path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "--anchor" in err and "nope.csv" not in err
+
     def test_thermo_slope_above_configured_gap(self, tmp_path):
         from qcrsim.system import TransmonSpec
         from qcrsim.thermometry import gibbs_populations, normalize_leading

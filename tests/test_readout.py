@@ -2,6 +2,7 @@ import itertools
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -176,6 +177,35 @@ def test_explicit_inverse_matches_solve(log_scale, log_cond, angle, seed):
     # log det carries an absolute error of about its relative error
     got = readout._log_gaussian(points, mean, cov)
     assert_allclose(got, log_density, rtol=rtol, atol=rtol)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    log_scale=st.floats(min_value=-3.0, max_value=3.0),
+    log_cond=st.floats(min_value=0.0, max_value=6.0),
+    angle=st.floats(min_value=0.0, max_value=math.pi),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_quad_form_matches_extended_precision(log_scale, log_cond, angle, seed):
+    """The whitened quadratic form holds 1e-12 relative up to cond(cov) =
+    1e6 against the exact distance of the same doubles (50 digits); the
+    expanded form of the explicit inverse loses up to 1e-10 there."""
+    c, s = math.cos(angle), math.sin(angle)
+    rot = np.array([[c, -s], [s, c]])
+    cov = rot @ np.diag([10.0**log_scale, 10.0 ** (log_scale + log_cond)]) @ rot.T
+    cov = 0.5 * (cov + cov.T)
+    rng = np.random.default_rng(seed)
+    mean = rng.standard_normal(2)
+    points = rng.multivariate_normal(mean, cov, size=50)
+    with mpmath.workdps(50):
+        a, b, d = (mpmath.mpf(x) for x in (cov[0, 0], cov[0, 1], cov[1, 1]))
+        m0, m1 = (mpmath.mpf(x) for x in mean)
+        want = []
+        for x, y in points.tolist():
+            dx, dy = x - m0, y - m1
+            q = (d * dx**2 - 2 * b * dx * dy + a * dy**2) / (a * d - b**2)
+            want.append(float(q))
+    assert_allclose(mahalanobis_sq(points, mean, cov), want, rtol=1e-12)
 
 
 class TestFractionWithinSigma:
@@ -468,6 +498,13 @@ class TestFitGmm:
         shots = synthesize_shots([0.25] * 4, model, 1_000, seed=7)
         with pytest.raises(ValueError, match="anchor"):
             fit_gmm(shots, anchor=10.0)
+
+    @pytest.mark.parametrize("anchor", [math.nan, math.inf, -1.0])
+    def test_anchor_must_be_finite_and_non_negative(self, anchor):
+        model = default_model()
+        shots = synthesize_shots([0.25] * 4, model, 1_000, seed=7)
+        with pytest.raises(ValueError, match=f"anchor must .* got {anchor}"):
+            fit_gmm(shots, init=model, anchor=anchor)
 
     def test_anchor_holds_empty_component_at_calibration(self):
         """A component that owns no shots must stay put, not wander."""
