@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import sys
 from contextlib import contextmanager
 from dataclasses import fields
@@ -634,7 +635,10 @@ def _add_common(parser: argparse.ArgumentParser):
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    # built once per process: parsing leaves the parser as it was, and a
+    # fresh build of every subcommand costs about a millisecond per call
     parser = argparse.ArgumentParser(
         prog="qcrsim",
         description=(

@@ -159,9 +159,13 @@ def _gauss_kronrod(integrand, knots, where) -> np.ndarray:
     evaluates only the panels not seen before.  Integral i is done when
     the |K - G| of its panels sum to at most max(QUAD_RELTOL |I|,
     50 eps int|f|), the second term a floor at the roundoff of the sum.
-    Until then, its panels with the largest |K - G| are bisected, as few
-    as leave the others' sum within an eighth of that tolerance, so panels
-    at the integrand's roundoff level are not split for their own sake.
+    Until then, its panels with the largest |K - G| are cut into four
+    equal panels, as few as leave the others' sum within an eighth of that
+    tolerance, so panels at the integrand's roundoff level are not split
+    for their own sake.  With starting knots that already grade toward
+    the integrand's peaks (``_knots``), a quarter cut reaches a tolerance
+    in fewer rounds than a bisection, and a round costs more than the few
+    extra panels.
     Every sum over an integral's panels runs in an order only its own
     history sets (``np.bincount``, a row-wise ``np.cumsum``), so a value
     does not depend, bit for bit, on the rest of the batch.  Raises
@@ -219,22 +223,29 @@ def _gauss_kronrod(integrand, knots, where) -> np.ndarray:
         split[order] = ~(np.cumsum(table, axis=1)[ranked, rank] <= tol[ranked] / 8)
         lo, hi = panels[0, split], panels[1, split]
         mid = 0.5 * (lo + hi)
-        new_lo = np.concatenate([lo, mid])
-        new_hi = np.concatenate([mid, hi])
-        owner = np.tile(own[split], 2)
+        cuts = [lo, 0.5 * (lo + mid), mid, 0.5 * (mid + hi), hi]
+        new_lo = np.concatenate(cuts[:-1])
+        new_hi = np.concatenate(cuts[1:])
+        owner = np.tile(own[split], 4)
         panels = panels[:, ~split]
-        counts = np.bincount(own, minlength=n) + np.bincount(
+        counts = np.bincount(own, minlength=n) + 3 * np.bincount(
             own[split], minlength=n
         )
 
 
-def _knots(lim: float, fermi_edges, beta: float) -> list[float]:
+def _knots(lim: float, fermi_edges, beta: float, gamma_d: float) -> list[float]:
     # Starting breakpoints: the gap edges, each Fermi edge and the points
     # _FERMI_REACH kT either side of it, so that no starting panel ends in
     # a thermal step or tail narrower than its Gauss-Kronrod nodes resolve.
+    # About each gap edge, points gamma_d 8^j either side (j >= 0, up to
+    # 0.3 of the gap) grade the panels geometrically toward the Dynes
+    # peak, which is gamma_d wide, so the first round already resolves it.
     reach = _FERMI_REACH / beta
+    grades = max(0, math.floor(math.log(0.3 / gamma_d, 8.0)) + 1)
+    offsets = [gamma_d * 8.0**j for j in range(grades)]
     inner = {-1.0, 1.0, *fermi_edges}
     inner |= {p + s for p in fermi_edges for s in (-reach, reach)}
+    inner |= {g + s for g in (-1.0, 1.0) for d in offsets for s in (-d, d)}
     return [-lim, *sorted(p for p in inner if -lim < p < lim), lim]
 
 
@@ -280,8 +291,11 @@ def tunnel_spectral_fn(e, v: float, junction: JunctionSpec):
     reaches 30 Delta beyond both Fermi edges at any bias.  The starting
     panels end at the gap edges, at each Fermi edge (E +- eV and 0) and
     36 kT either side of it, so no panel starts out too long for a thermal
-    step at its end; relative tolerance QUAD_RELTOL = 1e-10.  Each value
-    is the same, bit for bit, alone or in any batch.
+    step at its end, and at +-Delta +- gamma_d 8^j Delta (j >= 0, up to
+    0.3 Delta), graded toward the gamma_d-wide Dynes peaks so the first
+    round resolves them.  A panel that needs refining is cut into four;
+    relative tolerance QUAD_RELTOL = 1e-10.  Each value is the same, bit
+    for bit, alone or in any batch.
     """
     energies = _finite("photon energy e", e)
     _finite("bias v", v)
@@ -300,7 +314,9 @@ def tunnel_spectral_fn(e, v: float, junction: JunctionSpec):
         )
 
     knots = [
-        _knots(INTEGRATION_HALFWIDTH + u + abs(wi), (u + wi, -u + wi, 0.0), beta)
+        _knots(
+            INTEGRATION_HALFWIDTH + u + abs(wi), (u + wi, -u + wi, 0.0), beta, gamma_d
+        )
         for wi in w
     ]
     values = _gauss_kronrod(

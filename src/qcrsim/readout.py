@@ -173,7 +173,7 @@ def _check_component(mean, cov):
         or not np.isfinite(cov).all()
         or abs(cov[0, 1] - cov[1, 0]) > 1e-12 * (abs(cov[0, 0]) + abs(cov[1, 1]))
         or cov[0, 0] <= 0
-        or _det(cov) <= 0
+        or _exact_det(cov) <= 0
     ):
         raise ValueError(
             f"cov {cov.tolist()} is not a 2x2 symmetric positive-definite matrix"
@@ -187,9 +187,13 @@ def _split(x):
     return hi, x - hi
 
 
-def _exact_det(a, b, c):
-    # a c - b^2 rounded once: each product is exact as p + err (Dekker,
-    # Numer. Math. 18, 224-242, 1971), and ac - bb is exact where it cancels
+def _exact_det(cov):
+    # a c - b^2 of the symmetric part [[a, b], [b, c]] of each 2x2 cov over
+    # the last two axes, rounded once: each product is exact as p + err
+    # (Dekker, Numer. Math. 18, 224-242, 1971), and ac - bb is exact where
+    # it cancels
+    a, c = cov[..., 0, 0], cov[..., 1, 1]
+    b = 0.5 * (cov[..., 0, 1] + cov[..., 1, 0])
     (ah, al), (bh, bl), (ch, cl) = _split(a), _split(b), _split(c)
     ac, bb = a * c, b * b
     ac_err = ((ah * ch - ac) + ah * cl + al * ch) + al * cl
@@ -197,20 +201,22 @@ def _exact_det(a, b, c):
     return (ac - bb) + (ac_err - bb_err)
 
 
-def _quad_form(points, means, covs) -> np.ndarray:
+def _quad_form(points, means, covs, det=None) -> np.ndarray:
     # Squared Mahalanobis distances of the (n, 2) points to one component,
     # shape (n,), or to a stack of k components, shape (k, n), in the
     # whitened form (det dx^2 + (a dy - b dx)^2) / (a det) of cov = [[a, b],
-    # [b, c]]: two non-negative terms, with det exact but for one rounding,
-    # so the relative error is about eps sqrt(cond), 1e-13 at cond 1e6
-    # (the expanded form of the explicit inverse loses eps cond).
+    # [b, c]]: two non-negative terms, with det = _exact_det(covs) (passed
+    # in by a caller that needs it too) exact but for one rounding, so the
+    # relative error is about eps sqrt(cond), 1e-13 at cond 1e6 (the
+    # expanded form of the explicit inverse loses eps cond).
     # Built in place in three arrays: with more (k, n) temporaries the
     # memory freed at the end of one call goes back to the system and is
     # faulted in again by the next, which cost more than the arithmetic
     # (glibc malloc, n = 10 000 shots).
-    a, c = covs[..., 0, 0], covs[..., 1, 1]
+    if det is None:
+        det = _exact_det(covs)
+    a = covs[..., 0, 0]
     b = 0.5 * (covs[..., 0, 1] + covs[..., 1, 0])
-    det = _exact_det(a, b, c)
     dx = points[:, 0] - means[..., 0, None]
     dy = points[:, 1] - means[..., 1, None]
     q = dx * dx
@@ -259,9 +265,10 @@ def _as_shots(shots) -> np.ndarray:
 def _log_gaussian(shots, means, covs):
     # log N(x | mean, cov) of each shot for one component, shape (n,), or
     # for a stack of k components, shape (k, n)
-    out = _quad_form(shots, means, covs)
+    det = _exact_det(covs)
+    out = _quad_form(shots, means, covs, det)
     out *= -0.5
-    out += (-math.log(2.0 * math.pi) - 0.5 * np.log(_det(covs)))[..., None]
+    out += (-math.log(2.0 * math.pi) - 0.5 * np.log(det))[..., None]
     return out
 
 

@@ -20,8 +20,8 @@ T_N = mp.mpf("0.1")          # K
 LIM = mp.mpf(30)
 
 
-def dynes(x):
-    z = mp.mpc(x, GAMMA_D)
+def dynes(x, gamma_d=GAMMA_D):
+    z = mp.mpc(x, gamma_d)
     return abs(mp.re(z / mp.sqrt(z * z - 1)))
 
 
@@ -33,13 +33,14 @@ def fermi(y):
     return 1 / (1 + mp.exp(y))
 
 
-def spectral(e_mev, v_mv):
-    beta = DELTA / (KB_MEV_PER_K * T_N)
+def spectral(e_mev, v_mv, gamma_d=GAMMA_D, t_n=T_N):
+    beta = DELTA / (KB_MEV_PER_K * mp.mpf(t_n))
     u = abs(mp.mpf(v_mv)) / DELTA
     w = mp.mpf(e_mev) / DELTA
+    gamma_d = mp.mpf(gamma_d)
 
     def f(x):
-        return dynes(x) * (fermi(beta * (x - u - w)) + fermi(beta * (x + u - w))) * (1 - fermi(beta * x))
+        return dynes(x, gamma_d) * (fermi(beta * (x - u - w)) + fermi(beta * (x + u - w))) * (1 - fermi(beta * x))
 
     lim = LIM + u + abs(w)  # LIM beyond the furthest Fermi edge
     pts = sorted({p for p in (-1, 1, u + w, -u + w, mp.mpf(0)) if -lim < p < lim})
@@ -57,4 +58,12 @@ if __name__ == "__main__":
     for e, v in pins + [(e_ge, "10.0")]:
         val = spectral(e, v)
         print(f'    ({mp.nstr(e, 17)!r}, {v!r}): "{mp.nstr(val, 17)}",')
+    print("}")
+    # sharp gap edges in a cold junction, with a Fermi edge near a gap
+    # edge: (gamma_d, photon GHz, bias mV) at t_n = 0.03 K
+    print("SHARP_EDGE = {")
+    for g, f_ghz, v in (("1e-5", "4.09", "0.2"), ("1e-4", "-4.09", "0.23"),
+                        ("1e-5", "-1.0", "0.22")):
+        val = spectral(H_MEV_PER_GHZ * mp.mpf(f_ghz), v, g, "0.03")
+        print(f'    ({g}, {f_ghz}, {v}): "{mp.nstr(val, 17)}",')
     print("}")

@@ -1,3 +1,4 @@
+import argparse
 import os
 import subprocess
 import sys
@@ -223,6 +224,22 @@ class TestFitAndThermo:
             if line.startswith("weight.")
         ]
         assert weights == sorted(weights, reverse=True)
+
+    def test_parser_built_once(self, tmp_path, monkeypatch):
+        # each build adds the subcommands once
+        builds = []
+        add_subparsers = argparse.ArgumentParser.add_subparsers
+
+        def counted(self, **kwargs):
+            builds.append(self.prog)
+            return add_subparsers(self, **kwargs)
+
+        build_parser.cache_clear()
+        monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", counted)
+        missing = str(tmp_path / "nope.csv")
+        for _ in range(2):
+            assert main(["fit", "--shots", missing, "--outdir", str(tmp_path)]) == 1
+        assert builds == ["qcrsim"]
 
     def test_fit_missing_file(self, tmp_path, capsys):
         assert main(

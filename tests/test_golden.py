@@ -28,21 +28,21 @@ GOLDEN = {
     ("fig3d", "thermo.csv"): "bb2accc4d403f885257a8bfe1bd55ef7f01808182e2b234e7ade4b1e6856d149",
     ("fig4a", "sweep_populations.csv"): "b2d5805844498057bfc8c57516e63e9a978970b4d273e4230b1a72f8863589df",
     ("fig4a", "thermo.csv"): "9dcca2084f80e8d55e2efc0da3e461fadde0d9815cd53dac35292d0838a7adf6",
-    ("fig4b", "evolve_0p3mV.csv"): "d5d9bb15ef9dfb9c5811a8b1655712caf0b3ee5984d1dd4c12d15a5f6d910ab8",
-    ("fig4b", "evolve_0p6mV.csv"): "b7cefff4227b493608266895145ae9158fe16a8b091a6b578b0f5608fd42578b",
-    ("fig4b", "evolve_1p2mV.csv"): "6523cf5819319bb744bbf7e7ab96bffc6bacc4714a3ef55b534d862aa913ed94",
-    ("fig4b", "temps_0p3mV.csv"): "a77790bb1d93d7a609e679034e85b25115d54d091d8d9dd08a01a3305ba7a4ba",
-    ("fig4b", "temps_0p6mV.csv"): "7fcbf16a45421f51dd18038ae81899e36b05c27640e1bd85648fa7ab0c753cc7",
-    ("fig4b", "temps_1p2mV.csv"): "ec2451381706a3112b477955e33f9713d9d9752c5ba14faf6d19dd1814ae2d4f",
-    ("fig4b", "thermo_0p3mV.csv"): "3b477ea0bfead3f6fd44b4ebebef5ffbd12d16ef89a50403ea5d360100abc4ba",
-    ("fig4b", "thermo_0p6mV.csv"): "bd8b0d18c539eb46c19462b4d6195e61ad255cae885308d0d280e63303c61bdf",
-    ("fig4b", "thermo_1p2mV.csv"): "c7ec4449a3976e85453fb898fdd0057105e3ea4fe1947ff09e2f8aea0926c99b",
-    ("full", "evolve.csv"): "1cae8dd028a851ddc2ed49526f4c589f546489e0267c03a6241915780bb0c69a",
+    ("fig4b", "evolve_0p3mV.csv"): "1f7a919c0e22861563fb8426898a82878c63d67f4014f9255faa222dfd2542b0",
+    ("fig4b", "evolve_0p6mV.csv"): "f8bbf5889d30ee86978abc5f3af28433b93da893b6d2b2c1ab449192da1640ba",
+    ("fig4b", "evolve_1p2mV.csv"): "7057db6b540d893aa838e342da30a896e154d361f8ab3a7b4abd03655d575190",
+    ("fig4b", "temps_0p3mV.csv"): "6db3c8396a8055ee6bfcfd3d1d96b510dfaec96cdfd37914161866c67f765eec",
+    ("fig4b", "temps_0p6mV.csv"): "83f59d51b6351b494b8ace10e7cb01cea67a89e4869558a1afccc6723db67d3a",
+    ("fig4b", "temps_1p2mV.csv"): "0db9503b61bcec639d5fa944e9ed5d2621246d27e70a713a0ee3ac9718dcaa4c",
+    ("fig4b", "thermo_0p3mV.csv"): "90932451639fb4873dc342cf4e26e3685eaa3c42fb322bc09b3f4d25561ef02c",
+    ("fig4b", "thermo_0p6mV.csv"): "e1960b2f8f50fd4e15965f95e49957e78cfeb26e5d5b529a7ec162689a2a9edd",
+    ("fig4b", "thermo_1p2mV.csv"): "09860ad6cde6d0647ae119dd63bfcf9ab0afb82eb738ebb4f54c04b1176ad546",
+    ("full", "evolve.csv"): "28b47600a5a4b0057c81be14713afdda8677e8d6812a95e6b075568e9b08b65e",
     ("full", "populations.csv"): "6b79424c81d641086be6e8d2bdaf7b9bc70df3b3aafc54c35f6a94e693717995",
-    ("full", "rates.csv"): "b12deec1fd98bc4e8195e11e504145f8d805955d90583025f5e9bcc9f701f88e",
+    ("full", "rates.csv"): "104602de417117afe40c16247b3a61f5e2625cbd34b0e08f302f1c1fc67b8e2f",
     ("full", "shots.csv"): "fd0323e123881ea203d3adbf05effcb2b102f8046b5988e332cfc23c50c85c78",
     ("full", "thermo.csv"): "4f23cc57ffd71a607bdd39d17d581e00fd3aa1b9d78bdb06c39ac1c49caca027",
-    ("otto-demo", "otto.csv"): "7c0929758d5aa3a76014c5b790c4f68e98e456f1f01e91c2f7037b27e38c4762",
+    ("otto-demo", "otto.csv"): "82ef804a6acc2a2fd03877ffc174a0ad9e3f2e5192791feb0e3a079f79058720",
 }
 
 

@@ -38,6 +38,14 @@ SPECTRAL_ORACLE = {
     (3.817, 1.2): 5.5656800713090086,
     (4.09, 10.0): 46.579568661890349,  # Fermi edge beyond 30 Delta
 }
+# The same oracle for sharp gap edges at t_n = 0.03 K, with a Fermi edge
+# near a gap edge.  Keys are gamma_d, the signed photon frequency in GHz
+# and the bias in mV.
+SHARP_EDGE_ORACLE = {
+    (1e-5, 4.09, 0.2): 0.12620593616688521,
+    (1e-4, -4.09, 0.23): 0.050290570988093106,
+    (1e-5, -1.0, 0.22): 0.10207663516087062,
+}
 
 
 class TestDynesDos:
@@ -71,6 +79,12 @@ class TestSpectralFunction:
     def test_against_oracle(self, junction, f_ghz, v):
         got = tunnel_spectral_fn(H_MEV_PER_GHZ * f_ghz, v, junction)
         assert got == pytest.approx(SPECTRAL_ORACLE[(f_ghz, v)], rel=1e-9)
+
+    @pytest.mark.parametrize(("gamma_d", "f_ghz", "v"), sorted(SHARP_EDGE_ORACLE))
+    def test_sharp_edges_against_oracle(self, gamma_d, f_ghz, v):
+        jn = JunctionSpec(gamma_d=gamma_d, t_n=0.03)
+        got = tunnel_spectral_fn(H_MEV_PER_GHZ * f_ghz, v, jn)
+        assert got == pytest.approx(SHARP_EDGE_ORACLE[(gamma_d, f_ghz, v)], rel=1e-10)
 
     def test_even_in_bias(self, junction):
         e = H_MEV_PER_GHZ * 4.09
@@ -205,6 +219,24 @@ class TestGaussKronrod:
             assert np.array_equal(batch, alone)
             assert np.array_equal(batch[::-1], tunnel_spectral_fn(e[::-1], v, jn))
 
+    @pytest.mark.parametrize("v", [0.0, 0.6, 1.2])
+    def test_rate_table_takes_few_rounds(
+        self, monkeypatch, spectral_calls, system, junction, coupling, v
+    ):
+        # the starting knots graded toward the gap edges resolve the Dynes
+        # peaks in the first round, so only the tails need refining
+        rounds = []
+        dos = qcr.dynes_dos
+
+        def counted(x, gamma_d):
+            rounds.append(x.shape[0])
+            return dos(x, gamma_d)
+
+        monkeypatch.setattr(qcr, "dynes_dos", counted)
+        transition_rates(system, junction, coupling, v)
+        assert len(spectral_calls) == 10
+        assert len(rounds) <= 4
+
     def test_panel_cap_raises_before_evaluating(self, monkeypatch, junction):
         def no_evaluation(*args):
             raise AssertionError("integrand evaluated past the panel cap")
@@ -215,7 +247,7 @@ class TestGaussKronrod:
             tunnel_spectral_fn(H_MEV_PER_GHZ * np.full(1000, 4.09), 0.6, junction)
 
     def test_panel_cap_stops_refinement(self, monkeypatch, junction):
-        # the 12 starting panels fit, the refinement this integral needs
+        # the 24 starting panels fit, the refinement this integral needs
         # does not
         evaluations = []
         dos = qcr.dynes_dos
@@ -224,10 +256,10 @@ class TestGaussKronrod:
             evaluations.append(x.size)
             return dos(x, gamma_d)
 
-        monkeypatch.setattr(qcr, "QUAD_LIMIT", 12)
+        monkeypatch.setattr(qcr, "QUAD_LIMIT", 24)
         monkeypatch.setattr(qcr, "dynes_dos", counted)
         with pytest.raises(
-            RuntimeError, match=r"E = .* meV, V = 0\.3 mV needs more than 12"
+            RuntimeError, match=r"E = .* meV, V = 0\.3 mV needs more than 24"
         ):
             tunnel_spectral_fn(H_MEV_PER_GHZ * 4.09, 0.3, junction)
         assert evaluations
