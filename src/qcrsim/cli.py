@@ -43,6 +43,7 @@ from .dynamics import BiasPulse, DensityMatrix, evolve
 from .otto import OttoSpec, run_cycle
 from .qcr import transition_rates
 from .readout import (
+    ANCHOR_SHOTS,
     correct_counts,
     count_within_sigma,
     estimate_populations,
@@ -250,19 +251,14 @@ def stage_fit(
     cfg: ExperimentConfig,
     outdir: Path,
     shots: np.ndarray,
-    seed: int,
-    blind: bool = False,
-    anchor: float | None = None,
+    anchor: float = ANCHOR_SHOTS,
 ):
     """Fit the mixture to (n, 2) IQ shots and estimate populations.
 
     Writes model.txt (key-value, exact decimals) and populations.csv
     (one row), both in the label order g/e/f/h of the fitted model.
     """
-    init = None if blind else cfg.as_readout_model()
-    gmm = fit_gmm(
-        shots, init=init, seed=_seed_for(seed, "gmm"), anchor=anchor
-    )
+    gmm = fit_gmm(shots, init=cfg.as_readout_model(), anchor=anchor)
     est = estimate_populations(shots, gmm)
 
     model_path = outdir / "model.txt"
@@ -387,7 +383,7 @@ def pipeline_fig3d(cfg: ExperimentConfig, outdir: Path, seed: int):
         )
         shots = stage_shots(cfg, outdir, p4, 10000, seed)
     with _stage("fit"):
-        _, _, est = stage_fit(cfg, outdir, shots, seed)
+        _, _, est = stage_fit(cfg, outdir, shots)
     with _stage("thermo"):
         stage_thermo(cfg, outdir, est.populations[None])
 
@@ -482,7 +478,7 @@ def pipeline_full(cfg: ExperimentConfig, outdir: Path, seed: int):
     with _stage("shots"):
         shots = stage_shots(cfg, outdir, p4, 10000, seed)
     with _stage("fit"):
-        _, _, est = stage_fit(cfg, outdir, shots, seed)
+        _, _, est = stage_fit(cfg, outdir, shots)
     with _stage("thermo"):
         stage_thermo(cfg, outdir, est.populations[None])
 
@@ -550,18 +546,14 @@ def cmd_shots(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    if args.anchor is not None and not 0 <= args.anchor < np.inf:
+    if not 0 <= args.anchor < np.inf:
         raise ConfigError(f"--anchor must be finite and >= 0, got {args.anchor}")
-    if args.blind and args.anchor:  # None and 0 anchor nothing
-        raise ConfigError("--anchor > 0 needs the configured geometry, not --blind")
-    cfg, outdir, seed = _resolve(args)
+    cfg, outdir, _ = _resolve(args)
     columns = read_csv_columns(Path(args.shots), ("i", "q"))
     model_path, pops_path, est = stage_fit(
         cfg,
         outdir,
         np.column_stack([columns["i"], columns["q"]]),
-        seed,
-        blind=args.blind,
         anchor=args.anchor,
     )
     print(model_path)
@@ -708,16 +700,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="mixture fit + corrected populations")
     p.add_argument("--shots", required=True, metavar="CSV")
     p.add_argument(
-        "--blind",
-        action="store_true",
-        help="ignore the configured geometry; seeded k-means++ init",
-    )
-    p.add_argument(
         "--anchor",
         type=float,
-        default=None,
+        default=ANCHOR_SHOTS,
         metavar="SHOTS",
-        help="calibration-prior strength (default: 200 with geometry init)",
+        help="calibration-prior strength (default: %(default)s; 0: plain EM)",
     )
     _add_common(p)
     p.set_defaults(func=cmd_fit)

@@ -19,6 +19,7 @@ from .seeding import named_rng
 STATE_LABELS = ("g", "e", "f", "h")
 EM_MAX_ITER = 500
 EM_RELTOL = 1e-8
+ANCHOR_SHOTS = 200.0  # default calibration-prior strength of fit_gmm
 COLLAPSE_DET_FLOOR = 1e-12
 COND_LIMIT = 1e8
 QUADRATURE_TOL = 1e-13
@@ -26,7 +27,7 @@ QUADRATURE_MAX_ANGLES = 2**16
 
 
 class CovarianceCollapseError(RuntimeError):
-    """A mixture component collapsed twice onto too few points."""
+    """A mixture component's covariance collapsed onto too few points."""
 
 
 class SingularCorrectionError(RuntimeError):
@@ -131,23 +132,20 @@ def fraction_within_sigma(m: float = 1.0) -> float:
     """Probability mass of a 2D Gaussian within Mahalanobis radius m.
 
     Closed form 1 - exp(-m^2/2); the 1-sigma ellipse captures 39.34%.
+    Raises ValueError unless m >= 0 (so NaN too).
     """
-    if m < 0:
+    if not m >= 0:
         raise ValueError(f"radius must be non-negative, got {m}")
     return 1.0 - math.exp(-0.5 * m * m)
 
 
-def _det(cov):
-    # explicit determinant over the last two (2x2) axes
-    return cov[..., 0, 0] * cov[..., 1, 1] - cov[..., 0, 1] * cov[..., 1, 0]
-
-
-def _inv(cov):
-    # explicit 2x2 inverse over the last two axes: adjugate / determinant
+def _inv(cov, det):
+    # explicit 2x2 inverse over the last two axes: adjugate / determinant,
+    # with ``det`` from the caller, who knows whether ``cov`` is symmetric
     adj = np.stack(
         [cov[..., 1, 1], -cov[..., 0, 1], -cov[..., 1, 0], cov[..., 0, 0]], axis=-1
     )
-    return adj.reshape(cov.shape) / _det(cov)[..., None, None]
+    return adj.reshape(cov.shape) / det[..., None, None]
 
 
 def mahalanobis_sq(points, mean, cov) -> np.ndarray:
@@ -324,34 +322,6 @@ def _min_cost_matching(cost) -> np.ndarray:
     return match
 
 
-def _kmeanspp_init(shots, k, rng):
-    # D^2-weighted center choice, then one nearest-center partition for
-    # the starting covariances.
-    n = shots.shape[0]
-    centers = [shots[rng.integers(n)]]
-    for _ in range(k - 1):
-        d2 = np.min(
-            [np.sum((shots - c) ** 2, axis=1) for c in centers], axis=0
-        )
-        total = d2.sum()
-        probs = d2 / total if total > 0 else np.full(n, 1.0 / n)
-        centers.append(shots[rng.choice(n, p=probs)])
-    means = np.array(centers)
-    assign = np.argmin(
-        ((shots[:, None, :] - means[None]) ** 2).sum(axis=2), axis=1
-    )
-    global_cov = np.cov(shots.T) + 1e-6 * np.eye(2)
-    covs = np.empty((k, 2, 2))
-    weights = np.empty(k)
-    for j in range(k):
-        pts = shots[assign == j]
-        weights[j] = max(pts.shape[0], 1) / n
-        covs[j] = np.cov(pts.T) if pts.shape[0] > 2 else global_cov
-        if _det(covs[j]) <= 0:
-            covs[j] = global_cov
-    return weights / weights.sum(), means, covs
-
-
 def _pack(weights, means, covs) -> np.ndarray:
     # the free parameters as one vector: weights, means, and the xx, xy
     # and yy entries of each symmetric covariance
@@ -383,7 +353,7 @@ def _squarem_step(theta0, theta1, theta2, det_floor):
         np.isfinite(x).all()
         and (weights > 0).all()
         and (xx > 0).all()
-        and (_det(covs) > det_floor).all()
+        and (_exact_det(covs) > det_floor).all()
     ):
         return None
     return weights / weights.sum(), means, covs
@@ -394,11 +364,12 @@ def _log_anchor_prior(means, covs, m0, psi0, kappa0, nu0):
     # constants: the quantity EM-MAP is guaranteed to ascend is the data
     # log likelihood plus this.
     d = means.shape[1]
-    inv = _inv(covs)
+    det = _exact_det(covs)
+    inv = _inv(covs, det)
     diff = means - m0
     return float(
         np.sum(
-            -0.5 * (nu0 + d + 2) * np.log(_det(covs))
+            -0.5 * (nu0 + d + 2) * np.log(det)
             - 0.5 * np.einsum("jab,jba->j", psi0, inv)
             - 0.5 * kappa0 * np.einsum("ja,jab,jb->j", diff, inv, diff)
         )
@@ -407,86 +378,80 @@ def _log_anchor_prior(means, covs, m0, psi0, kappa0, nu0):
 
 def fit_gmm(
     shots,
-    init: ReadoutModel | None = None,
+    init: ReadoutModel,
     seed: int = 0,
-    anchor: float | None = None,
+    anchor: float = ANCHOR_SHOTS,
 ) -> GmmModel:
     """Expectation-maximization fit of a Gaussian mixture to IQ shots.
 
-    Initialized from calibration blob geometry when ``init`` is given,
-    with one component per calibration blob, else by seeded k-means++
-    with one component per state of STATE_LABELS.  EM is accelerated by
-    SQUAREM (Varadhan & Roland, Scand. J. Statist. 35, 335-353, 2008):
+    Started from the calibration blob geometry ``init``, with one
+    component per calibration blob and equal weights.  EM is accelerated
+    by SQUAREM (Varadhan & Roland, Scand. J. Statist. 35, 335-353, 2008):
     every two EM steps the fit extrapolates along the path they took,
     and keeps the extrapolation only when its weights are positive, its
     covariances positive-definite above the collapse floor and its
     objective at least that of the first EM step; else it keeps the
     second EM step, so the objective never decreases.  Iterates until
     one such cycle changes the objective by at most EM_RELTOL (1e-8)
-    relative, or for EM_MAX_ITER (500) E steps.  A component whose
-    covariance determinant falls below 1e-12 of the data scale is
-    re-seeded once, and the cycle restarts from there; a second
-    collapse raises CovarianceCollapseError.
+    relative, or for EM_MAX_ITER (500) E steps.
 
-    The components come back in label order: component j is the one
-    matched to calibration blob j by the assignment of least total mean
-    distance (labels ``init.labels``), or, for a blind fit, the j-th
-    heaviest (labels STATE_LABELS).
+    The components come back in label order (labels ``init.labels``):
+    component j is the one matched to calibration blob j by the
+    assignment of least total mean distance.
+
+    The fit draws no random numbers: ``seed`` is accepted for existing
+    callers and ignored.
+
+    Raises ValueError on malformed shots, fewer than 10 per component,
+    or shots that all sit at one point (zero spread), and
+    CovarianceCollapseError, naming the component(s), when an M step
+    leaves a covariance determinant below 1e-12 of the squared data
+    scale.
 
     Parameters
     ----------
-    anchor : float, optional
+    anchor : float
         Strength, in effective shots, of a conjugate
         Normal-inverse-Wishart prior holding each component's mean and
-        covariance near the calibration geometry (MAP EM).  Defaults to
-        200 when ``init`` is given and 0 (plain maximum likelihood)
-        otherwise.  Without it, a component holding a few dozen shots
-        next to a thousandfold-larger cloud is free to wander off and
-        model the big cloud's tails instead; anchoring also keeps the
+        covariance near the calibration geometry (MAP EM); 0 is plain
+        maximum likelihood.  Without it, a component holding a few dozen
+        shots next to a thousandfold-larger cloud is free to wander off
+        and model the big cloud's tails instead; anchoring also keeps the
         seed-to-seed wobble of the 1-sigma ellipses from inflating the
         variance of the population estimator downstream.
     """
     shots = _as_shots(shots)
     n = shots.shape[0]
-    k = len(STATE_LABELS) if init is None else init.n_components
+    k = init.n_components
     d = 2
     if n < 10 * k:
         raise ValueError(f"need at least {10 * k} shots to fit {k} components")
-
-    rng = named_rng(seed, "gmm-init")
-    if init is not None:
-        weights = np.full(k, 1.0 / k)
-        means = init.means.copy()
-        covs = init.covariances.copy()
-    else:
-        weights, means, covs = _kmeanspp_init(shots, k, rng)
-
-    if anchor is None:
-        anchor = 200.0 if init is not None else 0.0
     if not 0 <= anchor < math.inf:
         raise ValueError(f"anchor must be finite and non-negative, got {anchor}")
-    if anchor > 0 and init is None:
-        raise ValueError("anchor requires an init model to anchor to")
+    if (shots == shots[0]).all():
+        raise ValueError(
+            f"all {n} shots sit at {shots[0].tolist()}: zero spread, nothing to fit"
+        )
     anchored = anchor > 0
     if anchored:
         kappa0 = nu0 = float(anchor)
-        m0 = init.means.copy()
+        m0 = init.means
         # scaled so the no-data mode of the covariance is exactly the
         # calibration covariance
-        psi0 = (nu0 + d + 2) * init.covariances.copy()
+        psi0 = (nu0 + d + 2) * init.covariances
 
     data_scale = float(np.var(shots, axis=0).sum())
     det_floor = COLLAPSE_DET_FLOOR * data_scale**2
-    reseeded = np.zeros(k, dtype=bool)
 
     # One E step per pass.  A SQUAREM cycle maps theta0 -> theta1 ->
     # theta2 by EM and closes at the extrapolation from the three, or at
     # theta2; ``fallback`` holds theta2 while the extrapolation is
     # evaluated, and ``closes`` marks the candidate that ends the cycle.
     theta0 = None
-    candidate, fallback, closes = (weights, means, covs), None, False
+    candidate = (np.full(k, 1.0 / k), init.means, init.covariances)
+    fallback, closes = None, False
     history = []
-    converged = just_reseeded = False
+    converged = False
     for _ in range(EM_MAX_ITER):
         resp, log_mix = _e_step(shots, *candidate)
         obj = float(log_mix.sum())
@@ -498,12 +463,8 @@ def fit_gmm(
                 continue
             fallback = None
 
-        # EM ascent guarantee; a reseed restarts the sequence
-        if (
-            history
-            and not just_reseeded
-            and obj < history[-1] - 1e-10 * abs(history[-1])
-        ):
+        # EM ascent guarantee
+        if history and obj < history[-1] - 1e-10 * abs(history[-1]):
             raise RuntimeError(
                 f"EM objective decreased at E step {len(history) + 1}: "
                 f"{history[-1]} -> {obj}"
@@ -514,7 +475,6 @@ def fit_gmm(
         theta, loglik = candidate, float(log_mix.sum())
         if converged:
             break
-        just_reseeded = False
 
         # M step, into new arrays: theta0 and theta stay for the extrapolation
         nk = resp.sum(axis=1)
@@ -536,24 +496,17 @@ def fit_gmm(
             covs = (psi0 + scatter + outer) / (nu0 + nk + d + 2)[:, None, None]
         else:
             means, covs = xbar, scatter / nk[:, None, None]
-        candidate, closes = (weights, means, covs), theta0 is not None
 
-        collapsed = [j for j in range(k) if _det(covs[j]) < det_floor]
-        for j in collapsed:
-            if reseeded[j]:
-                raise CovarianceCollapseError(
-                    f"component {j} collapsed twice (det < {det_floor:.3e})"
-                )
-            reseeded[j] = True
-            means[j] = shots[rng.integers(n)]
-            covs[j] = np.cov(shots.T) + 1e-6 * np.eye(2)
-            weights[j] = 1.0 / k
-            weights = weights / weights.sum()
-            just_reseeded = True
-        if collapsed:
-            # a new cycle starts from the reseeded parameters
-            candidate, theta0, closes = (weights, means, covs), None, False
-        elif theta0 is None:
+        # a NaN determinant, from a component that owns no shot, counts too
+        collapsed = np.flatnonzero(~(_exact_det(covs) >= det_floor))
+        if collapsed.size:
+            names = ", ".join(f"{j} ({init.labels[j]})" for j in collapsed)
+            raise CovarianceCollapseError(
+                f"component(s) {names} collapsed after E step {len(history)}: "
+                f"covariance det < {det_floor:.3e}"
+            )
+        candidate, closes = (weights, means, covs), theta0 is not None
+        if theta0 is None:
             theta0 = theta
         else:
             step = _squarem_step(theta0, theta, candidate, det_floor)
@@ -561,20 +514,15 @@ def fit_gmm(
                 candidate, fallback = step, candidate
             theta0 = None
 
+    # put on blob j the component the least-distance matching gives it
     weights, means, covs = theta
-    if init is not None:
-        # put on blob j the component the least-distance matching gives it
-        dist = np.linalg.norm(means[:, None, :] - init.means[None], axis=2)
-        order = np.argsort(_min_cost_matching(dist))
-    else:
-        order = np.argsort(-weights, kind="stable")
-    weights, means, covs = weights[order], means[order], covs[order]
-
+    dist = np.linalg.norm(means[:, None, :] - init.means[None], axis=2)
+    order = np.argsort(_min_cost_matching(dist))
     return GmmModel(
-        weights=weights,
-        means=means,
-        covariances=covs,
-        labels=STATE_LABELS if init is None else init.labels,
+        weights=weights[order],
+        means=means[order],
+        covariances=covs[order],
+        labels=init.labels,
         loglik=loglik,
         converged=converged,
         n_iter=len(history),
@@ -634,12 +582,14 @@ def correction_matrix(model) -> np.ndarray:
     crossed at 90 degrees, still resolve; ratio 1e8 does not.
     """
     means, covs = np.asarray(model.means), np.asarray(model.covariances)
-    inv = _inv(np.linalg.cholesky(covs))
+    chol = np.linalg.cholesky(covs)
+    inv = _inv(chol, chol[:, 0, 0] * chol[:, 1, 1])
     # blob j in blob i's whitened frame: N(m[i, j], s[i, j])
     m = np.einsum("iab,ijb->ija", inv, means[None] - means[:, None])
     s = inv[:, None] @ covs[None] @ np.swapaxes(inv, 1, 2)[:, None]
-    prec = _inv(s)
-    scale = 1.0 / np.sqrt(_det(s))
+    det = _exact_det(s)
+    prec = _inv(s, det)
+    scale = 1.0 / np.sqrt(det)
 
     # the 2n-angle trapezoid sum reuses the n-angle one: it is the mean
     # of that and the midpoint sum at the n angles offset by half a step
@@ -683,7 +633,8 @@ def correct_counts(counts, n_shots, model) -> PopulationEstimate:
     negatives and renormalizes each row; the estimate has the shape of
     ``counts``.
 
-    Raises ValueError on malformed counts or shot numbers, and
+    Raises ValueError on malformed counts or shot numbers, naming any
+    count above ``n_shots`` (and its row, for a table), and
     SingularCorrectionError when cond(M) > 1e8, which is what heavily
     overlapping blob geometries produce, or when a row's corrected
     populations sum to zero.
@@ -696,6 +647,13 @@ def correct_counts(counts, n_shots, model) -> PopulationEstimate:
         raise ValueError(f"counts {counts.tolist()} must be finite and non-negative")
     if not 0 < n_shots < math.inf:
         raise ValueError(f"n_shots must be positive, got {n_shots}")
+    if counts.max() > n_shots:
+        first = np.argwhere(counts > n_shots)[0]
+        where = f" in row {first[0]}" if counts.ndim == 2 else ""
+        raise ValueError(
+            f"count {counts[tuple(first)]:g} of {model.labels[first[-1]]}{where}"
+            f" exceeds n_shots = {n_shots}"
+        )
 
     m = correction_matrix(model)
     cond = float(np.linalg.cond(m))

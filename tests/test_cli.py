@@ -208,22 +208,12 @@ class TestFitAndThermo:
         assert header == ["T_mK", "T_err_mK", "residual"]
         assert rows[0, 0] == pytest.approx(110.0, abs=10.0)
 
-    def test_blind_fit_prints_label_order(self, tmp_path, capsys):
-        """A blind fit reports g, e, f, h in that order, like an anchored one."""
-        common = ["--seed", "11", "--outdir", str(tmp_path)]
-        assert main(["shots", "--n", "20000", *common]) == 0
-        shots = str(tmp_path / "shots.csv")
-        capsys.readouterr()
-        assert main(["fit", "--blind", "--shots", shots, *common]) == 0
-        lines = capsys.readouterr().out.splitlines()[2:]
-        assert [line.split(":")[0] for line in lines] == ["g", "e", "f", "h"]
-        model_text = (tmp_path / "model.txt").read_text()
-        weights = [
-            float(line.split("=")[1])
-            for line in model_text.splitlines()
-            if line.startswith("weight.")
-        ]
-        assert weights == sorted(weights, reverse=True)
+    def test_blind_flag_is_gone(self, tmp_path, capsys):
+        shots = str(tmp_path / "nope.csv")
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", "--blind", "--shots", shots, "--outdir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --blind" in capsys.readouterr().err
 
     def test_parser_built_once(self, tmp_path, monkeypatch):
         # each build adds the subcommands once
@@ -253,7 +243,6 @@ class TestFitAndThermo:
             ["--anchor", "nan"],
             ["--anchor", "inf"],
             ["--anchor", "-1"],
-            ["--blind", "--anchor", "5"],
         ],
     )
     def test_bad_anchor_is_usage_error(self, tmp_path, capsys, flags):

@@ -38,10 +38,10 @@ GOLDEN = {
     ("fig4b", "thermo_0p6mV.csv"): "e1960b2f8f50fd4e15965f95e49957e78cfeb26e5d5b529a7ec162689a2a9edd",
     ("fig4b", "thermo_1p2mV.csv"): "09860ad6cde6d0647ae119dd63bfcf9ab0afb82eb738ebb4f54c04b1176ad546",
     ("full", "evolve.csv"): "28b47600a5a4b0057c81be14713afdda8677e8d6812a95e6b075568e9b08b65e",
-    ("full", "populations.csv"): "6b79424c81d641086be6e8d2bdaf7b9bc70df3b3aafc54c35f6a94e693717995",
+    ("full", "populations.csv"): "765e314508c95e06f29b6d4c32b91cdadf73e1bcea48bec0cb48907ac3572c5f",
     ("full", "rates.csv"): "104602de417117afe40c16247b3a61f5e2625cbd34b0e08f302f1c1fc67b8e2f",
     ("full", "shots.csv"): "fd0323e123881ea203d3adbf05effcb2b102f8046b5988e332cfc23c50c85c78",
-    ("full", "thermo.csv"): "4f23cc57ffd71a607bdd39d17d581e00fd3aa1b9d78bdb06c39ac1c49caca027",
+    ("full", "thermo.csv"): "2c47a190784ef9e6a9ca3520b745ff68abed7d3448e5523ed64ad1c4e762e5cc",
     ("otto-demo", "otto.csv"): "82ef804a6acc2a2fd03877ffc174a0ad9e3f2e5192791feb0e3a079f79058720",
 }
 

@@ -78,13 +78,13 @@ class TestSpectralFunction:
     @pytest.mark.parametrize(("f_ghz", "v"), sorted(SPECTRAL_ORACLE))
     def test_against_oracle(self, junction, f_ghz, v):
         got = tunnel_spectral_fn(H_MEV_PER_GHZ * f_ghz, v, junction)
-        assert got == pytest.approx(SPECTRAL_ORACLE[(f_ghz, v)], rel=1e-9)
+        assert got == pytest.approx(SPECTRAL_ORACLE[(f_ghz, v)], rel=1e-12)
 
     @pytest.mark.parametrize(("gamma_d", "f_ghz", "v"), sorted(SHARP_EDGE_ORACLE))
     def test_sharp_edges_against_oracle(self, gamma_d, f_ghz, v):
         jn = JunctionSpec(gamma_d=gamma_d, t_n=0.03)
         got = tunnel_spectral_fn(H_MEV_PER_GHZ * f_ghz, v, jn)
-        assert got == pytest.approx(SHARP_EDGE_ORACLE[(gamma_d, f_ghz, v)], rel=1e-10)
+        assert got == pytest.approx(SHARP_EDGE_ORACLE[(gamma_d, f_ghz, v)], rel=1e-12)
 
     def test_even_in_bias(self, junction):
         e = H_MEV_PER_GHZ * 4.09

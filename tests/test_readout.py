@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import warnings
 
 import mpmath
 import numpy as np
@@ -233,6 +234,11 @@ class TestFractionWithinSigma:
         assert fraction_within_sigma(1.0) == 1.0 - math.exp(-0.5)
         assert fraction_within_sigma(2.0) == 1.0 - math.exp(-2.0)
 
+    @pytest.mark.parametrize("m", [-1.0, math.nan])
+    def test_rejects_bad_radius(self, m):
+        with pytest.raises(ValueError, match=f"radius .* got {m}"):
+            fraction_within_sigma(m)
+
     def test_empirical_coverage(self):
         """>= 1e5 Gaussian shots: 1-sigma ellipse holds 39.34 +- 0.5 %."""
         model = default_model()
@@ -404,19 +410,7 @@ class TestFitGmm:
         dist = np.linalg.norm(fit.means[:, None] - model.means[None], axis=2)
         assert readout._min_cost_matching(dist).tolist() == [0, 1, 2, 3]
 
-    def test_blind_fit_labels_by_weight(self):
-        model = default_model()
-        p = np.array([0.6, 0.25, 0.1, 0.05])
-        shots = synthesize_shots(p, model, 20_000, seed=11)
-        fit = fit_gmm(shots, seed=2)
-        assert fit.converged
-        assert fit.labels == STATE_LABELS
-        assert np.all(np.diff(fit.weights) <= 0.0)
-        assert np.abs(fit.weights - p).max() < 0.03
-
-    @pytest.mark.parametrize(
-        "init", [default_model(), None], ids=["anchored", "blind"]
-    )
+    @pytest.mark.parametrize("init", [default_model()], ids=["anchored"])
     def test_estimate_from_fit_is_in_label_order(self, init):
         p = [0.6, 0.25, 0.1, 0.05]
         shots = synthesize_shots(p, default_model(), 10_000, seed=3)
@@ -434,15 +428,10 @@ class TestFitGmm:
         monkeypatch.setattr(readout, "_squarem_step", spy)
         model = default_model()
         mixed, empty = [0.5, 0.3, 0.15, 0.05], [0.75, 0.25, 0.0, 0.0]
-        for p, init, anchor in [
-            (mixed, model, None),
-            (mixed, model, 0.0),
-            (mixed, None, None),  # blind
-            (empty, model, None),
-        ]:
+        for p, anchor in [(mixed, 200.0), (mixed, 0.0), (empty, 200.0)]:
             steps.clear()
             shots = synthesize_shots(p, model, 15_000, seed=6)
-            fit = fit_gmm(shots, init=init, seed=6, anchor=anchor)
+            fit = fit_gmm(shots, init=model, anchor=anchor)
             h = fit.loglik_history
             assert np.all(np.diff(h) >= -1e-10 * np.abs(h[:-1]))
         # in the last, empty-component fit the weights of the empty
@@ -455,9 +444,7 @@ class TestFitGmm:
         ]
         assert left and all(left)
 
-    @pytest.mark.parametrize(
-        "init", [default_model(), None], ids=["anchored", "blind"]
-    )
+    @pytest.mark.parametrize("init", [default_model()], ids=["anchored"])
     @pytest.mark.parametrize("max_iter", [7, 8, readout.EM_MAX_ITER])
     def test_n_iter_counts_recorded_e_steps(self, monkeypatch, init, max_iter):
         e_steps = []
@@ -498,26 +485,34 @@ class TestFitGmm:
         assert 0.0 < reference - plain
         assert reference - fitted <= reference - plain
 
-    def test_single_collapse_is_reseeded(self):
-        """A component seeded on a few repeated points collapses at the
-        first M step; reseeded once, the fit goes on and converges."""
+    def test_single_collapse_raises_naming_component(self):
+        """A component started on a few repeated points collapses at the
+        first M step, and the fit stops there, naming it."""
         model = default_model()
         means, covs = model.means.copy(), model.covariances.copy()
         means[3], covs[3] = (9.0, 9.0), 0.01 * np.eye(2)
         init = ReadoutModel(means=means, covariances=covs)
         good = synthesize_shots([0.4, 0.3, 0.2, 0.1], model, 15_000, seed=3)
         shots = np.vstack([good, np.tile([[9.0, 9.0]], (3, 1))])
-        fit = fit_gmm(shots, init=init, seed=0, anchor=0.0)
-        assert fit.converged
-        assert np.linalg.norm(fit.means - (9.0, 9.0), axis=1).min() > 5.0
-        h = fit.loglik_history
-        assert np.all(np.diff(h[1:]) >= -1e-10 * np.abs(h[1:-1]))
+        with pytest.raises(CovarianceCollapseError, match=r"component\(s\) 3 \(h\) "):
+            fit_gmm(shots, init=init, anchor=0.0)
 
-    def test_unanchored_prior_requires_init(self):
-        model = default_model()
-        shots = synthesize_shots([0.25] * 4, model, 1_000, seed=7)
-        with pytest.raises(ValueError, match="anchor"):
-            fit_gmm(shots, anchor=10.0)
+    def test_zero_spread_shots_fail_by_name(self):
+        shots = np.tile([[0.5, 0.5]], (100, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="zero spread"):
+                fit_gmm(shots, init=default_model(), anchor=0.0)
+
+    def test_draws_no_random_numbers(self, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("fit_gmm drew random numbers")
+
+        shots = synthesize_shots([0.6, 0.25, 0.1, 0.05], default_model(), 2_000)
+        monkeypatch.setattr(readout, "named_rng", no_draws)
+        first = fit_gmm(shots, init=default_model(), seed=1)
+        again = fit_gmm(shots, init=default_model(), seed=2)
+        assert again.means.tobytes() == first.means.tobytes()
 
     @pytest.mark.parametrize("anchor", [math.nan, math.inf, -1.0])
     def test_anchor_must_be_finite_and_non_negative(self, anchor):
@@ -539,11 +534,9 @@ class TestFitGmm:
         model = default_model()
         shots = synthesize_shots([0.25] * 4, model, 30, seed=9)
         with pytest.raises(ValueError, match="shots"):
-            fit_gmm(shots)
+            fit_gmm(shots, init=model)
 
-    @pytest.mark.parametrize(
-        "init", [default_model(), None], ids=["anchored", "blind"]
-    )
+    @pytest.mark.parametrize("init", [default_model()], ids=["anchored"])
     def test_loglik_is_data_likelihood_of_returned_model(self, init):
         p = [0.6, 0.25, 0.1, 0.05]
         shots = synthesize_shots(p, default_model(), 10_000, seed=15)
@@ -560,7 +553,7 @@ class TestFitGmm:
         good = synthesize_shots([0.4, 0.3, 0.2, 0.1], model, 15_000, seed=3)
         spike = np.tile([[9.0, 9.0]], (5_000, 1))
         with pytest.raises(CovarianceCollapseError):
-            fit_gmm(np.vstack([good, spike]), seed=1)
+            fit_gmm(np.vstack([good, spike]), init=model, anchor=0.0)
 
 
 class TestMinCostMatching:
@@ -736,7 +729,7 @@ class TestEstimatePopulations:
         with pytest.raises(ValueError, match=re.escape(str(shots.shape))):
             estimate_populations(shots, default_model())
         with pytest.raises(ValueError, match=re.escape(str(shots.shape))):
-            fit_gmm(shots)
+            fit_gmm(shots, init=default_model())
 
     def test_overlapping_geometry_is_singular(self):
         means = np.tile([[0.0, 0.0]], (4, 1))
@@ -806,3 +799,13 @@ class TestCorrectCounts:
     def test_rejects_malformed_counts(self, counts, n_shots):
         with pytest.raises(ValueError):
             correct_counts(counts, n_shots, default_model())
+
+    def test_rejects_counts_above_shot_number(self):
+        model = default_model()
+        with pytest.raises(ValueError, match="count 100 of g exceeds n_shots = 10"):
+            correct_counts([100, 1, 1, 1], 10, model)
+        table = np.ones((3, 4))
+        table[2, 1] = 11
+        with pytest.raises(ValueError, match="count 11 of e in row 2 exceeds"):
+            correct_counts(table, 10, model)
+        assert correct_counts([10, 1, 1, 1], 10, model).populations.shape == (4,)
