@@ -159,9 +159,12 @@ class BiasPulse:
 def pulse_voltage(pulse: BiasPulse, t):
     """Instantaneous bias (mV) of the square pulse at time t (ns).
 
-    Vectorized over t.  Edges are ideal steps.
+    Vectorized over t.  Edges are ideal steps.  Raises ValueError for a
+    NaN or infinite t.
     """
     t = np.asarray(t, dtype=float)
+    if not np.isfinite(t).all():
+        raise ValueError(f"time t must be finite, got {t[~np.isfinite(t)][0]}")
     phase = np.mod(t, pulse.period)
     square = np.where(phase < 0.5 * pulse.period, pulse.amplitude, -pulse.amplitude)
     v = np.where(

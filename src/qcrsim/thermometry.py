@@ -58,11 +58,16 @@ def gibbs_populations(
 
 def normalize_leading(p, k: int = 4) -> np.ndarray:
     """Renormalize the first k entries of a population vector, or of
-    each row of a table, to sum 1."""
+    each row of a table, to sum 1.  Raises ValueError for a NaN or
+    infinite entry among the first k."""
     p = np.asarray(p, dtype=float)
     if not 1 <= k <= p.shape[-1]:
         raise ValueError(f"k must lie in [1, {p.shape[-1]}], got {k}")
     lead = p[..., :k]
+    if not np.isfinite(lead).all():
+        raise ValueError(
+            f"populations p must be finite, got {lead[~np.isfinite(lead)][0]}"
+        )
     total = lead.sum(axis=-1, keepdims=True)
     if (total <= 0).any():
         raise ValueError("leading populations sum to zero")

@@ -199,6 +199,14 @@ class TestBiasPulse:
         with pytest.raises(ValueError, match=name):
             BiasPulse(**{name: value})
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_voltage_rejects_non_finite_time(self, value):
+        pulse = BiasPulse(amplitude=1.2, duration=100.0)
+        with pytest.raises(ValueError, match=f"time t must be finite, got {value}"):
+            pulse_voltage(pulse, value)
+        with pytest.raises(ValueError, match=f"time t .*{value}"):
+            pulse_voltage(pulse, np.array([2.5, value]))
+
 
 class TestLindbladGenerator:
     def test_matches_dense_master_equation(self):

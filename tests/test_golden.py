@@ -28,21 +28,21 @@ GOLDEN = {
     ("fig3d", "thermo.csv"): "bb2accc4d403f885257a8bfe1bd55ef7f01808182e2b234e7ade4b1e6856d149",
     ("fig4a", "sweep_populations.csv"): "b2d5805844498057bfc8c57516e63e9a978970b4d273e4230b1a72f8863589df",
     ("fig4a", "thermo.csv"): "9dcca2084f80e8d55e2efc0da3e461fadde0d9815cd53dac35292d0838a7adf6",
-    ("fig4b", "evolve_0p3mV.csv"): "1f7a919c0e22861563fb8426898a82878c63d67f4014f9255faa222dfd2542b0",
-    ("fig4b", "evolve_0p6mV.csv"): "f8bbf5889d30ee86978abc5f3af28433b93da893b6d2b2c1ab449192da1640ba",
-    ("fig4b", "evolve_1p2mV.csv"): "7057db6b540d893aa838e342da30a896e154d361f8ab3a7b4abd03655d575190",
-    ("fig4b", "temps_0p3mV.csv"): "6db3c8396a8055ee6bfcfd3d1d96b510dfaec96cdfd37914161866c67f765eec",
-    ("fig4b", "temps_0p6mV.csv"): "83f59d51b6351b494b8ace10e7cb01cea67a89e4869558a1afccc6723db67d3a",
-    ("fig4b", "temps_1p2mV.csv"): "0db9503b61bcec639d5fa944e9ed5d2621246d27e70a713a0ee3ac9718dcaa4c",
-    ("fig4b", "thermo_0p3mV.csv"): "90932451639fb4873dc342cf4e26e3685eaa3c42fb322bc09b3f4d25561ef02c",
-    ("fig4b", "thermo_0p6mV.csv"): "e1960b2f8f50fd4e15965f95e49957e78cfeb26e5d5b529a7ec162689a2a9edd",
-    ("fig4b", "thermo_1p2mV.csv"): "09860ad6cde6d0647ae119dd63bfcf9ab0afb82eb738ebb4f54c04b1176ad546",
-    ("full", "evolve.csv"): "28b47600a5a4b0057c81be14713afdda8677e8d6812a95e6b075568e9b08b65e",
+    ("fig4b", "evolve_0p3mV.csv"): "ac44e138ed945a85720f0d4fa5e4da964c322a3f553a0280a76dee1bc9b19426",
+    ("fig4b", "evolve_0p6mV.csv"): "90090ee2fb8199c811da5df9055e1e6fe5b931e0e46a3b8fc790344831984e36",
+    ("fig4b", "evolve_1p2mV.csv"): "eb7eee88818ff57f407e00877e1f9098d981f739602031d1b6393cf1063601c4",
+    ("fig4b", "temps_0p3mV.csv"): "ea1fa2ba7c6238a7b388bb6e3e3f352b4983628fd9574c9ec2e3e574d6fdd121",
+    ("fig4b", "temps_0p6mV.csv"): "cdddb0ca97f60e592b7abddf7a25e20fd5bdf99eed1aa79f06006866552bf591",
+    ("fig4b", "temps_1p2mV.csv"): "1fcc5dd1e38eba0b218451ca25a06c8de95e8c767754ebaf00a3d2f83f6daece",
+    ("fig4b", "thermo_0p3mV.csv"): "d536c5e82e91161c25dd31eeda093298e0d5b8964f1d682922755d25d7a15e6e",
+    ("fig4b", "thermo_0p6mV.csv"): "d3157a22edbbbaf337d8ebfb3ab270f7c58eae153d8d93400f320580ad032ec6",
+    ("fig4b", "thermo_1p2mV.csv"): "bbd8c4d332874ff4697dacc68888bbc1312820d3e95400461f700573a0028bf6",
+    ("full", "evolve.csv"): "963cbfe33cba7234d1ec37cd8e878ed48076d28fc54fef84350819bdb7c7e63f",
     ("full", "populations.csv"): "765e314508c95e06f29b6d4c32b91cdadf73e1bcea48bec0cb48907ac3572c5f",
-    ("full", "rates.csv"): "104602de417117afe40c16247b3a61f5e2625cbd34b0e08f302f1c1fc67b8e2f",
+    ("full", "rates.csv"): "7c30003c7e76f570298eacb6cd9e806eaa3f572545d2cacd2eebc0becf6b3d6c",
     ("full", "shots.csv"): "fd0323e123881ea203d3adbf05effcb2b102f8046b5988e332cfc23c50c85c78",
     ("full", "thermo.csv"): "2c47a190784ef9e6a9ca3520b745ff68abed7d3448e5523ed64ad1c4e762e5cc",
-    ("otto-demo", "otto.csv"): "82ef804a6acc2a2fd03877ffc174a0ad9e3f2e5192791feb0e3a079f79058720",
+    ("otto-demo", "otto.csv"): "002291dfafca4c4c623c695ed1589769b13d64bbfa723cfc62776ea41159d019",
 }
 
 

@@ -14,6 +14,7 @@ from qcrsim.dynamics import BiasPulse, DensityMatrix, evolve
 from qcrsim.qcr import (
     JunctionSpec,
     CouplingSpec,
+    dynes_antiderivative,
     dynes_dos,
     effective_temperature,
     purcell_factor,
@@ -74,17 +75,51 @@ class TestDynesDos:
             dynes_dos(0.5, bad)
 
 
+class TestDynesAntiderivative:
+    @pytest.mark.parametrize("gamma_d", [2.3e-3, 1e-5])
+    def test_odd_and_zero_at_zero(self, gamma_d):
+        assert dynes_antiderivative(0.0, gamma_d) == 0.0
+        x = np.linspace(0.0, 4.0, 401)
+        assert np.array_equal(
+            dynes_antiderivative(-x, gamma_d), -dynes_antiderivative(x, gamma_d)
+        )
+
+    @pytest.mark.parametrize("gamma_d", [2.3e-3, 1e-5])
+    @pytest.mark.parametrize("x", [0.3, 0.999, 1.0, 1.001, 3.0, 40.0])
+    def test_integrates_the_dos(self, gamma_d, x):
+        """N(x) is the integral of n_S from 0, inside, at and outside the
+        gap edge."""
+        near = 1.0 + gamma_d * np.array([-100.0, -1.0, 0.0, 1.0, 100.0])
+        points = [p for p in near if 0.0 < p < x] or None
+        integral, _ = quad(
+            dynes_dos,
+            0.0,
+            x,
+            args=(gamma_d,),
+            points=points,
+            epsabs=0.0,
+            epsrel=1e-13,
+            limit=500,
+        )
+        assert dynes_antiderivative(x, gamma_d) == pytest.approx(integral, rel=1e-12)
+
+    @pytest.mark.parametrize("bad", [0.0, 1.0])
+    def test_gamma_domain(self, bad):
+        with pytest.raises(ValueError, match="gamma_d"):
+            dynes_antiderivative(0.5, bad)
+
+
 class TestSpectralFunction:
     @pytest.mark.parametrize(("f_ghz", "v"), sorted(SPECTRAL_ORACLE))
     def test_against_oracle(self, junction, f_ghz, v):
         got = tunnel_spectral_fn(H_MEV_PER_GHZ * f_ghz, v, junction)
-        assert got == pytest.approx(SPECTRAL_ORACLE[(f_ghz, v)], rel=1e-12)
+        assert got == pytest.approx(SPECTRAL_ORACLE[(f_ghz, v)], rel=2e-14)
 
     @pytest.mark.parametrize(("gamma_d", "f_ghz", "v"), sorted(SHARP_EDGE_ORACLE))
     def test_sharp_edges_against_oracle(self, gamma_d, f_ghz, v):
         jn = JunctionSpec(gamma_d=gamma_d, t_n=0.03)
         got = tunnel_spectral_fn(H_MEV_PER_GHZ * f_ghz, v, jn)
-        assert got == pytest.approx(SHARP_EDGE_ORACLE[(gamma_d, f_ghz, v)], rel=1e-12)
+        assert got == pytest.approx(SHARP_EDGE_ORACLE[(gamma_d, f_ghz, v)], rel=5e-14)
 
     def test_even_in_bias(self, junction):
         e = H_MEV_PER_GHZ * 4.09
@@ -159,10 +194,16 @@ def _dynes_scalar(x, gamma_d):
     return abs((z / (z * z - 1.0) ** 0.5).real)
 
 
+# Window of the quad reference beyond the furthest Fermi edge, in units
+# of the gap.
+QUAD_HALFWIDTH = 30.0
+
+
 def quad_spectral_fn(e, v, junction):
-    """F(E, V) by scipy.integrate.quad on a scalar integrand: the
-    reference the batched Gauss-Kronrod routine replaced, with the
-    window reaching INTEGRATION_HALFWIDTH beyond both Fermi edges.
+    """F(E, V) by scipy.integrate.quad on the three-factor definition,
+    n_S(eps) f(eps - tau eV - E) [1 - f(eps)], independent of the
+    antiderivative form the package integrates, with the window reaching
+    QUAD_HALFWIDTH beyond both Fermi edges.
 
     quad also gets breakpoints 36 kT either side of each Fermi edge:
     without them it misses thermal tails at t_n = 0.03 K by up to 1.7e-9
@@ -182,7 +223,7 @@ def quad_spectral_fn(e, v, junction):
             * (1.0 - _fermi_scalar(beta * x))
         )
 
-    lim = qcr.INTEGRATION_HALFWIDTH + u + abs(w)
+    lim = QUAD_HALFWIDTH + u + abs(w)
     edges = (u + w, -u + w, 0.0)
     points = {-1.0, 1.0, *edges} | {p + s * 36.0 / beta for p in edges for s in (-1, 1)}
     points = {round(p, 12) for p in points}
@@ -196,6 +237,34 @@ def quad_spectral_fn(e, v, junction):
         limit=400,
     )
     return value
+
+
+class TestThermalKernel:
+    """The kernel of the integral centres on s = (E +- eV)/Delta."""
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize(
+        ("gaps", "kts"),
+        [(0.0, 0.0), (1e-12, 0.0), (-1e-12, 0.0), (0.0, 1e-3), (0.0, -1e-3)],
+    )
+    def test_continuous_through_the_kernel_centre(self, junction, sign, gaps, kts):
+        # E = +-eV + gaps Delta + kts kT, so s = 0 and |s| = 1e-12, 1e-3 kT
+        kt = KB_MEV_PER_K * junction.t_n
+        e = sign * 0.6 + gaps * junction.delta + kts * kt
+        assert tunnel_spectral_fn(e, 0.6, junction) == pytest.approx(
+            quad_spectral_fn(e, 0.6, junction), rel=1e-10
+        )
+
+    def test_cold_sharp_junction_far_beyond_the_gap(self):
+        """At 10 mK, gamma_d = 1e-5 and 10 mV the kernel's exponents
+        reach about 1e4: no overflow, no NaN, and quad's value."""
+        jn = JunctionSpec(gamma_d=1e-5, t_n=0.01)
+        e = H_MEV_PER_GHZ * np.array([4.09, -4.09, 0.0])
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            got = tunnel_spectral_fn(e, 10.0, jn)
+            idle = tunnel_spectral_fn(e, 0.0, jn)
+        assert np.all(np.isfinite(idle)) and np.all(idle > 0)
+        assert_allclose(got, [quad_spectral_fn(x, 10.0, jn) for x in e], rtol=1e-9)
 
 
 class TestGaussKronrod:
@@ -223,43 +292,43 @@ class TestGaussKronrod:
     def test_rate_table_takes_few_rounds(
         self, monkeypatch, spectral_calls, system, junction, coupling, v
     ):
-        # the starting knots graded toward the gap edges resolve the Dynes
-        # peaks in the first round, so only the tails need refining
+        # the starting knots graded toward the gap edge and the kernel's
+        # peak resolve both in the first round
         rounds = []
-        dos = qcr.dynes_dos
+        antiderivative = qcr.dynes_antiderivative
 
         def counted(x, gamma_d):
             rounds.append(x.shape[0])
-            return dos(x, gamma_d)
+            return antiderivative(x, gamma_d)
 
-        monkeypatch.setattr(qcr, "dynes_dos", counted)
+        monkeypatch.setattr(qcr, "dynes_antiderivative", counted)
         transition_rates(system, junction, coupling, v)
         assert len(spectral_calls) == 10
-        assert len(rounds) <= 4
+        assert 1 <= len(rounds) <= 2
 
     def test_panel_cap_raises_before_evaluating(self, monkeypatch, junction):
         def no_evaluation(*args):
             raise AssertionError("integrand evaluated past the panel cap")
 
         monkeypatch.setattr(qcr, "QUAD_LIMIT", 2)
-        monkeypatch.setattr(qcr, "dynes_dos", no_evaluation)
+        monkeypatch.setattr(qcr, "dynes_antiderivative", no_evaluation)
         with pytest.raises(RuntimeError, match=r"E = .* meV, V = 0\.6 mV"):
             tunnel_spectral_fn(H_MEV_PER_GHZ * np.full(1000, 4.09), 0.6, junction)
 
     def test_panel_cap_stops_refinement(self, monkeypatch, junction):
-        # the 24 starting panels fit, the refinement this integral needs
-        # does not
+        # the 21 starting panels of each term fit, the refinement one of
+        # them needs does not
         evaluations = []
-        dos = qcr.dynes_dos
+        antiderivative = qcr.dynes_antiderivative
 
         def counted(x, gamma_d):
             evaluations.append(x.size)
-            return dos(x, gamma_d)
+            return antiderivative(x, gamma_d)
 
-        monkeypatch.setattr(qcr, "QUAD_LIMIT", 24)
-        monkeypatch.setattr(qcr, "dynes_dos", counted)
+        monkeypatch.setattr(qcr, "QUAD_LIMIT", 21)
+        monkeypatch.setattr(qcr, "dynes_antiderivative", counted)
         with pytest.raises(
-            RuntimeError, match=r"E = .* meV, V = 0\.3 mV needs more than 24"
+            RuntimeError, match=r"E = .* meV, V = 0\.3 mV needs more than 21"
         ):
             tunnel_spectral_fn(H_MEV_PER_GHZ * 4.09, 0.3, junction)
         assert evaluations
@@ -465,3 +534,16 @@ class TestEffectiveTemperature:
 
     def test_pure_decay_is_zero(self):
         assert effective_temperature(0.5, 0.0, 4.09) == 0.0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        ("name", "args"),
+        [
+            ("gamma_down", lambda x: (x, 1.0, 4.0)),
+            ("gamma_up", lambda x: (1.0, x, 4.0)),
+            ("omega", lambda x: (1.0, 0.5, x)),
+        ],
+    )
+    def test_rejects_non_finite(self, name, args, bad):
+        with pytest.raises(ValueError, match=f"{name} must be finite, got {bad}"):
+            effective_temperature(*args(bad))

@@ -76,6 +76,14 @@ def test_normalize_leading():
         normalize_leading(p, 7)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_normalize_leading_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match=f"populations p must be finite, got {bad}"):
+        normalize_leading([bad, 1.0, 1.0, 1.0], 4)
+    with pytest.raises(ValueError, match="populations p"):
+        normalize_leading([[0.5, 0.3, 0.1, 0.1], [0.5, bad, 0.1, 0.1]], 4)
+
+
 def test_is_monotone_thermal_edges():
     assert is_monotone_thermal([0.5, 0.5])  # ties allowed
     assert is_monotone_thermal([0.6, 0.4, 0.4 - 1e-13])  # within tol
