@@ -15,6 +15,7 @@ the default system parameters.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .dynamics import BiasPulse, DensityMatrix, evolve
@@ -102,15 +103,17 @@ def calibrate_kappa_eff(
     bracket ends guarantees convergence.  It stops once the temperature
     mismatch is below TEMPERATURE_TOL (K).
 
-    Raises CalibrationError if the bracket does not straddle the target
+    Raises ValueError, before any evolve, unless 0 < lo < hi < inf and
+    ``target`` is finite and above IDLE_TEMPERATURE, and
+    CalibrationError if the bracket does not straddle the target
     or the mismatch stays above TEMPERATURE_TOL after MAX_BISECTIONS
     steps.
     """
-    if not 0 < lo < hi:
-        raise ValueError(f"need 0 < lo < hi, got [{lo}, {hi}]")
-    if target <= IDLE_TEMPERATURE:
+    if not 0 < lo < hi < math.inf:
+        raise ValueError(f"need 0 < lo < hi < inf, got [{lo}, {hi}]")
+    if not IDLE_TEMPERATURE < target < math.inf:
         raise ValueError(
-            f"target {target} K must exceed the idle temperature "
+            f"target {target} K must be finite and exceed the idle temperature "
             f"{IDLE_TEMPERATURE} K"
         )
 

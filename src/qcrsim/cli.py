@@ -43,7 +43,6 @@ from .dynamics import BiasPulse, DensityMatrix, evolve
 from .otto import OttoSpec, run_cycle
 from .qcr import transition_rates
 from .readout import (
-    ANCHOR_SHOTS,
     correct_counts,
     count_within_sigma,
     estimate_populations,
@@ -247,18 +246,13 @@ def _model_lines(gmm) -> list[str]:
     return lines
 
 
-def stage_fit(
-    cfg: ExperimentConfig,
-    outdir: Path,
-    shots: np.ndarray,
-    anchor: float = ANCHOR_SHOTS,
-):
+def stage_fit(cfg: ExperimentConfig, outdir: Path, shots: np.ndarray):
     """Fit the mixture to (n, 2) IQ shots and estimate populations.
 
     Writes model.txt (key-value, exact decimals) and populations.csv
     (one row), both in the label order g/e/f/h of the fitted model.
     """
-    gmm = fit_gmm(shots, init=cfg.as_readout_model(), anchor=anchor)
+    gmm = fit_gmm(shots, init=cfg.as_readout_model())
     est = estimate_populations(shots, gmm)
 
     model_path = outdir / "model.txt"
@@ -286,8 +280,15 @@ def stage_thermo(
     axis, named by ``sweep_col`` (V_mV or t_ns).  Temperatures
     are reported in mK.  The summary block at the end of the file holds
     the heating slope above the configured gap ``junction.delta``
-    (V_mV axis) or the saturation-fit parameters (t_ns axis).
+    (V_mV axis) or the saturation-fit parameters (t_ns axis).  Raises
+    ValueError, naming the row and column, for a NaN or infinite sweep
+    value.
     """
+    if sweep_col:
+        bad = np.flatnonzero(~np.isfinite(sweep))
+        if bad.size:
+            i = bad[0]
+            raise ValueError(f"row {i} column {sweep_col}: {sweep[i]} is not finite")
     fit = fit_gibbs(p, cfg.as_system().transmon)
     temps = fit.temperature  # K, NaN where non-thermal
     header = ["T_mK", "T_err_mK", "residual"]
@@ -300,10 +301,11 @@ def stage_thermo(
         ok = np.isfinite(temps)
         sweep, temps = sweep[ok], temps[ok]
     if sweep_col == "V_mV":
-        try:
-            slope = _fmt(heating_slope(sweep, temps, v_min=cfg.as_junction().delta))
-        except ValueError:
+        delta = cfg.as_junction().delta
+        if np.count_nonzero(sweep > delta) < 3:
             slope = "nan  # fewer than 3 points above the gap"
+        else:
+            slope = _fmt(heating_slope(sweep, temps, v_min=delta))
         comments.append(f"slope_K_per_mV = {slope}")
     elif sweep_col == "t_ns":
         if temps.size < 4:
@@ -546,15 +548,10 @@ def cmd_shots(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    if not 0 <= args.anchor < np.inf:
-        raise ConfigError(f"--anchor must be finite and >= 0, got {args.anchor}")
     cfg, outdir, _ = _resolve(args)
     columns = read_csv_columns(Path(args.shots), ("i", "q"))
     model_path, pops_path, est = stage_fit(
-        cfg,
-        outdir,
-        np.column_stack([columns["i"], columns["q"]]),
-        anchor=args.anchor,
+        cfg, outdir, np.column_stack([columns["i"], columns["q"]])
     )
     print(model_path)
     print(pops_path)
@@ -699,13 +696,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="mixture fit + corrected populations")
     p.add_argument("--shots", required=True, metavar="CSV")
-    p.add_argument(
-        "--anchor",
-        type=float,
-        default=ANCHOR_SHOTS,
-        metavar="SHOTS",
-        help="calibration-prior strength (default: %(default)s; 0: plain EM)",
-    )
     _add_common(p)
     p.set_defaults(func=cmd_fit)
 

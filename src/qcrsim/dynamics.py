@@ -102,14 +102,24 @@ class DensityMatrix:
         return cls.from_populations(p)
 
 
+def _same_dim(a: DensityMatrix, b: DensityMatrix):
+    if a.dim != b.dim:
+        raise ValueError(f"states of dimension {a.dim} and {b.dim} differ")
+
+
 def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
-    """T(a, b) = (1/2) ||a - b||_1."""
+    """T(a, b) = (1/2) ||a - b||_1.  Raises ValueError, naming both
+    dimensions, for states of different dimension."""
+    _same_dim(a, b)
     eigs = np.linalg.eigvalsh(a.matrix - b.matrix)
     return 0.5 * float(np.abs(eigs).sum())
 
 
 def fidelity(a: DensityMatrix, b: DensityMatrix) -> float:
-    """Uhlmann fidelity (Tr sqrt(sqrt(a) b sqrt(a)))^2, clipped to [0, 1]."""
+    """Uhlmann fidelity (Tr sqrt(sqrt(a) b sqrt(a)))^2, clipped to [0, 1].
+    Raises ValueError, naming both dimensions, for states of different
+    dimension."""
+    _same_dim(a, b)
     evals, vecs = np.linalg.eigh(a.matrix)
     sqrt_a = (vecs * np.sqrt(np.clip(evals, 0.0, None))) @ vecs.conj().T
     inner = sqrt_a @ b.matrix @ sqrt_a
@@ -333,6 +343,9 @@ def _snap(steps: float):
 
 
 def _n_steps(t_end: float, dt: float) -> int:
+    for name, value in (("dt", dt), ("t_end", t_end)):
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
     steps = _snap(t_end / dt)
     if not isinstance(steps, int):
         raise ValueError(f"dt={dt} must evenly divide t_end={t_end}")
@@ -492,15 +505,13 @@ def evolve(
     sample_every : int
         Record every k-th step into the trajectory.
 
-    Every sample is checked; a non-finite state, a trace drift or a
-    negative eigenvalue beyond 1e-6 aborts with an IntegratorError
-    naming the time and step, and so do non-finite rates.
+    Raises ValueError, naming the argument, unless dt and t_end are
+    positive and finite.  Every sample is checked; a non-finite state, a
+    trace drift or a negative eigenvalue beyond 1e-6 aborts with an
+    IntegratorError naming the time and step, and so do non-finite rates.
     """
     if t_end is None:
         t_end = pulse.duration
-    if dt <= 0 or t_end <= 0:
-        raise ValueError("dt and t_end must be positive")
-
     volts, stretches = _pulse_stretches(pulse, dt, _n_steps(t_end, dt))
     h = np.diag(transmon_energies(system.transmon))
     blocks = [
@@ -523,10 +534,11 @@ def evolve_constant(
 ) -> Trajectory:
     """Propagate under a single fixed rate table (no pulse bookkeeping).
 
-    ``hamiltonian`` must be diagonal and sized for the rates.
+    ``hamiltonian`` must be diagonal and sized for the rates; dt and
+    t_end as for ``evolve``.
     """
-    blocks = [_ladder_blocks(hamiltonian, rates)]
     stretches = [(0, 0, _n_steps(t_end, dt))]
+    blocks = [_ladder_blocks(hamiltonian, rates)]
     return _propagate_stretches(rho0, blocks, stretches, dt, sample_every, transmon)
 
 

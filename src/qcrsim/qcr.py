@@ -127,8 +127,10 @@ def dynes_dos(eps, gamma_d: float):
     """
     if not 0.0 < gamma_d < 1.0:
         raise ValueError(f"gamma_d must lie in (0, 1), got {gamma_d}")
-    z = np.asarray(eps, dtype=float) + 1j * gamma_d
-    return np.abs(np.real(z / np.sqrt(z * z - 1.0)))
+    # at |eps|, so it is even to the last bit; (z - 1)(z + 1), not z^2 - 1,
+    # which cancels near the gap edge
+    z = np.abs(np.asarray(eps, dtype=float)) + 1j * gamma_d
+    return np.abs(np.real(z / np.sqrt((z - 1.0) * (z + 1.0))))
 
 
 def dynes_antiderivative(eps, gamma_d: float):

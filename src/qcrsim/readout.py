@@ -19,7 +19,7 @@ from .seeding import named_rng
 STATE_LABELS = ("g", "e", "f", "h")
 EM_MAX_ITER = 500
 EM_RELTOL = 1e-8
-ANCHOR_SHOTS = 200.0  # default calibration-prior strength of fit_gmm
+ANCHOR_SHOTS = 200.0  # calibration-prior strength of fit_gmm, in shots
 COLLAPSE_DET_FLOOR = 1e-12
 COND_LIMIT = 1e8
 QUADRATURE_TOL = 1e-13
@@ -230,18 +230,18 @@ def _quad_form(points, means, covs, det=None) -> np.ndarray:
 
 @dataclass(frozen=True, kw_only=True)
 class GmmModel(ReadoutModel):
-    """Gaussian mixture fitted by EM: a ReadoutModel, in label order,
-    with the mixture weights and the fit's diagnostics.
+    """Gaussian mixture fitted by EM: a ReadoutModel, component j on
+    calibration blob j, with the mixture weights and the fit's
+    diagnostics.
 
-    loglik_history holds the EM objective -- the data log likelihood,
-    plus the calibration-prior log density when the fit is anchored --
-    of every parameter set the fit accepted, one E step each, ending
-    with that of the returned parameters.  The objective never
-    decreases, and the tests hold it to that.  ``n_iter`` is
-    len(loglik_history), at most EM_MAX_ITER; an extrapolation the fit
-    rejects costs one more E step, counted against EM_MAX_ITER but not
-    recorded.  ``loglik`` is always the plain data log likelihood of the
-    returned parameters.
+    loglik_history holds the EM objective -- the data log likelihood
+    plus the calibration-prior log density -- of every parameter set the
+    fit accepted, one E step each, ending with that of the returned
+    parameters.  The objective never decreases, and the tests hold it to
+    that.  ``n_iter`` is len(loglik_history), at most EM_MAX_ITER; an
+    extrapolation the fit rejects costs one more E step, counted against
+    EM_MAX_ITER but not recorded.  ``loglik`` is the plain data log
+    likelihood of the returned parameters.
     """
 
     weights: np.ndarray
@@ -284,44 +284,6 @@ def _e_step(shots, weights, means, covs):
     return joint, top + np.log(total)
 
 
-def _min_cost_matching(cost) -> np.ndarray:
-    """Column matched to each row of a square cost matrix, minimising
-    the total cost (Hungarian algorithm with potentials, O(k^3))."""
-    cost = np.asarray(cost, dtype=float)
-    k = cost.shape[0]
-    # index 0 is a virtual column that holds the row being inserted;
-    # row_of[j] is the 1-based row matched to column j, 0 when free
-    u, v = np.zeros(k + 1), np.zeros(k + 1)
-    row_of = np.zeros(k + 1, dtype=int)
-    for i in range(1, k + 1):
-        row_of[0] = i
-        col = 0
-        slack = np.full(k + 1, math.inf)
-        came_from = np.zeros(k + 1, dtype=int)
-        used = np.zeros(k + 1, dtype=bool)
-        while row_of[col]:
-            used[col] = True
-            r = row_of[col]
-            reduced = cost[r - 1] - u[r] - v[1:]
-            better = ~used[1:] & (reduced < slack[1:])
-            slack[1:][better] = reduced[better]
-            came_from[1:][better] = col
-            free = np.flatnonzero(~used[1:]) + 1
-            nxt = free[np.argmin(slack[free])]
-            delta = slack[nxt]
-            u[row_of[used]] += delta
-            v[used] -= delta
-            slack[~used] -= delta
-            col = nxt
-        while col:  # flip the augmenting path back to the virtual column
-            prev = came_from[col]
-            row_of[col] = row_of[prev]
-            col = prev
-    match = np.empty(k, dtype=int)
-    match[row_of[1:] - 1] = np.arange(k)
-    return match
-
-
 def _pack(weights, means, covs) -> np.ndarray:
     # the free parameters as one vector: weights, means, and the xx, xy
     # and yy entries of each symmetric covariance
@@ -359,45 +321,47 @@ def _squarem_step(theta0, theta1, theta2, det_floor):
     return weights / weights.sum(), means, covs
 
 
-def _log_anchor_prior(means, covs, m0, psi0, kappa0, nu0):
-    # Normal-inverse-Wishart log density up to parameter-independent
-    # constants: the quantity EM-MAP is guaranteed to ascend is the data
-    # log likelihood plus this.
+def _log_anchor_prior(means, covs, m0, psi0):
+    # Normal-inverse-Wishart log density, ANCHOR_SHOTS strong for both the
+    # means and the covariances, up to parameter-independent constants:
+    # the quantity EM-MAP is guaranteed to ascend is the data log
+    # likelihood plus this.
     d = means.shape[1]
     det = _exact_det(covs)
     inv = _inv(covs, det)
     diff = means - m0
     return float(
         np.sum(
-            -0.5 * (nu0 + d + 2) * np.log(det)
+            -0.5 * (ANCHOR_SHOTS + d + 2) * np.log(det)
             - 0.5 * np.einsum("jab,jba->j", psi0, inv)
-            - 0.5 * kappa0 * np.einsum("ja,jab,jb->j", diff, inv, diff)
+            - 0.5 * ANCHOR_SHOTS * np.einsum("ja,jab,jb->j", diff, inv, diff)
         )
     )
 
 
-def fit_gmm(
-    shots,
-    init: ReadoutModel,
-    seed: int = 0,
-    anchor: float = ANCHOR_SHOTS,
-) -> GmmModel:
-    """Expectation-maximization fit of a Gaussian mixture to IQ shots.
+def fit_gmm(shots, init: ReadoutModel, seed: int = 0) -> GmmModel:
+    """MAP expectation-maximization fit of a Gaussian mixture to IQ shots,
+    anchored at the calibration blob geometry ``init``.
 
-    Started from the calibration blob geometry ``init``, with one
-    component per calibration blob and equal weights.  EM is accelerated
-    by SQUAREM (Varadhan & Roland, Scand. J. Statist. 35, 335-353, 2008):
-    every two EM steps the fit extrapolates along the path they took,
-    and keeps the extrapolation only when its weights are positive, its
-    covariances positive-definite above the collapse floor and its
-    objective at least that of the first EM step; else it keeps the
-    second EM step, so the objective never decreases.  Iterates until
-    one such cycle changes the objective by at most EM_RELTOL (1e-8)
-    relative, or for EM_MAX_ITER (500) E steps.
+    One component per calibration blob, started there with equal
+    weights.  A conjugate Normal-inverse-Wishart prior of ANCHOR_SHOTS
+    (200) effective shots, centred on blob j's mean and with blob j's
+    covariance as its no-data mode, holds component j near blob j.
+    Without it, a component holding a few dozen shots next to a
+    thousandfold-larger cloud is free to wander off and model the big
+    cloud's tails instead; it also keeps the seed-to-seed wobble of the
+    1-sigma ellipses from inflating the variance of the population
+    estimator downstream.  Component j is therefore blob j: the fit
+    comes back in label order (labels ``init.labels``).
 
-    The components come back in label order (labels ``init.labels``):
-    component j is the one matched to calibration blob j by the
-    assignment of least total mean distance.
+    EM is accelerated by SQUAREM (Varadhan & Roland, Scand. J. Statist.
+    35, 335-353, 2008): every two EM steps the fit extrapolates along
+    the path they took, and keeps the extrapolation only when its
+    weights are positive, its covariances positive-definite above the
+    collapse floor and its objective at least that of the first EM
+    step; else it keeps the second EM step, so the objective never
+    decreases.  Iterates until one such cycle changes the objective by
+    at most EM_RELTOL (1e-8) relative, or for EM_MAX_ITER (500) E steps.
 
     The fit draws no random numbers: ``seed`` is accepted for existing
     callers and ignored.
@@ -407,18 +371,6 @@ def fit_gmm(
     CovarianceCollapseError, naming the component(s), when an M step
     leaves a covariance determinant below 1e-12 of the squared data
     scale.
-
-    Parameters
-    ----------
-    anchor : float
-        Strength, in effective shots, of a conjugate
-        Normal-inverse-Wishart prior holding each component's mean and
-        covariance near the calibration geometry (MAP EM); 0 is plain
-        maximum likelihood.  Without it, a component holding a few dozen
-        shots next to a thousandfold-larger cloud is free to wander off
-        and model the big cloud's tails instead; anchoring also keeps the
-        seed-to-seed wobble of the 1-sigma ellipses from inflating the
-        variance of the population estimator downstream.
     """
     shots = _as_shots(shots)
     n = shots.shape[0]
@@ -426,19 +378,13 @@ def fit_gmm(
     d = 2
     if n < 10 * k:
         raise ValueError(f"need at least {10 * k} shots to fit {k} components")
-    if not 0 <= anchor < math.inf:
-        raise ValueError(f"anchor must be finite and non-negative, got {anchor}")
     if (shots == shots[0]).all():
         raise ValueError(
             f"all {n} shots sit at {shots[0].tolist()}: zero spread, nothing to fit"
         )
-    anchored = anchor > 0
-    if anchored:
-        kappa0 = nu0 = float(anchor)
-        m0 = init.means
-        # scaled so the no-data mode of the covariance is exactly the
-        # calibration covariance
-        psi0 = (nu0 + d + 2) * init.covariances
+    # psi0 scaled so the no-data mode of the covariance is exactly the
+    # calibration covariance
+    m0, psi0 = init.means, (ANCHOR_SHOTS + d + 2) * init.covariances
 
     data_scale = float(np.var(shots, axis=0).sum())
     det_floor = COLLAPSE_DET_FLOOR * data_scale**2
@@ -454,9 +400,7 @@ def fit_gmm(
     converged = False
     for _ in range(EM_MAX_ITER):
         resp, log_mix = _e_step(shots, *candidate)
-        obj = float(log_mix.sum())
-        if anchored:
-            obj += _log_anchor_prior(*candidate[1:], m0, psi0, kappa0, nu0)
+        obj = float(log_mix.sum()) + _log_anchor_prior(*candidate[1:], m0, psi0)
         if fallback is not None:
             if obj < history[-1]:  # the extrapolation lost ground: take theta2
                 candidate, fallback = fallback, None
@@ -488,14 +432,11 @@ def fit_gmm(
         xx, xy = np.einsum("jn,jn->j", rd, dx), np.einsum("jn,jn->j", rd, dy)
         yy = np.einsum("jn,jn->j", np.multiply(resp, dy, out=rd), dy)
         scatter = np.stack([xx, xy, xy, yy], axis=-1).reshape(k, d, d)
-        if anchored:
-            pull = xbar - m0
-            shrink = kappa0 * nk / (kappa0 + nk)
-            means = (kappa0 * m0 + nk[:, None] * xbar) / (kappa0 + nk)[:, None]
-            outer = shrink[:, None, None] * (pull[:, :, None] * pull[:, None])
-            covs = (psi0 + scatter + outer) / (nu0 + nk + d + 2)[:, None, None]
-        else:
-            means, covs = xbar, scatter / nk[:, None, None]
+        pull = xbar - m0
+        shrink = ANCHOR_SHOTS * nk / (ANCHOR_SHOTS + nk)
+        means = (ANCHOR_SHOTS * m0 + nk[:, None] * xbar) / (ANCHOR_SHOTS + nk)[:, None]
+        outer = shrink[:, None, None] * (pull[:, :, None] * pull[:, None])
+        covs = (psi0 + scatter + outer) / (ANCHOR_SHOTS + nk + d + 2)[:, None, None]
 
         # a NaN determinant, from a component that owns no shot, counts too
         collapsed = np.flatnonzero(~(_exact_det(covs) >= det_floor))
@@ -514,14 +455,11 @@ def fit_gmm(
                 candidate, fallback = step, candidate
             theta0 = None
 
-    # put on blob j the component the least-distance matching gives it
     weights, means, covs = theta
-    dist = np.linalg.norm(means[:, None, :] - init.means[None], axis=2)
-    order = np.argsort(_min_cost_matching(dist))
     return GmmModel(
-        weights=weights[order],
-        means=means[order],
-        covariances=covs[order],
+        weights=weights,
+        means=means,
+        covariances=covs,
         labels=init.labels,
         loglik=loglik,
         converged=converged,

@@ -365,11 +365,16 @@ def heating_slope(voltages, temps, v_min: float) -> float:
 
     Pass the gap voltage (``JunctionSpec.delta``) as v_min, so only
     above-gap heating enters.  Requires at least three qualifying points.
+    Raises ValueError, naming the argument, for a NaN or infinite entry
+    of ``voltages`` or ``temps``.
     """
     v = np.asarray(voltages, dtype=float)
     y = np.asarray(temps, dtype=float)
     if v.shape != y.shape or v.ndim != 1:
         raise ValueError("voltages and temps must be 1-d arrays of equal length")
+    for name, x in (("voltages", v), ("temps", y)):
+        if not np.isfinite(x).all():
+            raise ValueError(f"{name} must be finite, got {x[~np.isfinite(x)][0]}")
     mask = v > v_min
     if mask.sum() < 3:
         raise ValueError(

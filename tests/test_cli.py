@@ -215,6 +215,13 @@ class TestFitAndThermo:
         assert exc.value.code == 2
         assert "unrecognized arguments: --blind" in capsys.readouterr().err
 
+    def test_anchor_flag_is_gone(self, tmp_path, capsys):
+        shots = str(tmp_path / "nope.csv")
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", "--anchor", "5", "--shots", shots, "--outdir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --anchor 5" in capsys.readouterr().err
+
     def test_parser_built_once(self, tmp_path, monkeypatch):
         # each build adds the subcommands once
         builds = []
@@ -236,22 +243,6 @@ class TestFitAndThermo:
             ["fit", "--shots", str(tmp_path / "nope.csv"), "--outdir", str(tmp_path)]
         ) == 1
         assert "nope.csv" in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
-        "flags",
-        [
-            ["--anchor", "nan"],
-            ["--anchor", "inf"],
-            ["--anchor", "-1"],
-        ],
-    )
-    def test_bad_anchor_is_usage_error(self, tmp_path, capsys, flags):
-        # checked before the shots are read: the missing file is not reached
-        shots = str(tmp_path / "nope.csv")
-        argv = ["fit", "--shots", shots, *flags, "--outdir", str(tmp_path)]
-        assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert "--anchor" in err and "nope.csv" not in err
 
     def test_thermo_slope_above_configured_gap(self, tmp_path):
         from qcrsim.system import TransmonSpec
@@ -669,6 +660,19 @@ class TestCsvReaders:
         ) == 1
         message = f"{src}: row 1 column V_mV: 'x' is not a number"
         assert message in capsys.readouterr().err
+
+    def test_thermo_names_non_finite_sweep_cell(self, tmp_path, capsys):
+        # not dropped and reported as too few points above the gap
+        src = tmp_path / "populations.csv"
+        row = "0.8,0.15,0.04,0.01"
+        lines = [f"{v},{row}" for v in ("0.6", "nan", "0.8", "1.0")]
+        src.write_text("\n".join(["V_mV,p0,p1,p2,p3", *lines]) + "\n")
+        assert main(
+            ["thermo", "--populations", str(src), "--outdir", str(tmp_path)]
+        ) == 1
+        message = f"{src}: row 1 column V_mV: nan is not finite"
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "thermo.csv").exists()
 
 
 def _child_env():

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -73,6 +74,18 @@ class TestDynesDos:
     def test_gamma_domain(self, bad):
         with pytest.raises(ValueError):
             dynes_dos(0.5, bad)
+
+    def test_against_mpmath_at_a_sharp_edge(self):
+        """No cancellation in z^2 - 1 where z = eps + i gamma_d is near 1:
+        61 energies within 3e-5 of the edge at gamma_d = 1e-5."""
+        gamma_d = 1e-5
+        x = 1.0 + np.linspace(-3e-5, 3e-5, 61)
+        with mpmath.workdps(40):
+            want = [
+                float(abs(mpmath.re(z / mpmath.sqrt(z * z - 1))))
+                for z in (mpmath.mpc(e, gamma_d) for e in x.tolist())
+            ]
+        assert_allclose(dynes_dos(x, gamma_d), want, rtol=1e-14, atol=0.0)
 
 
 class TestDynesAntiderivative:

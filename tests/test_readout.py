@@ -1,4 +1,3 @@
-import itertools
 import math
 import re
 import warnings
@@ -15,6 +14,7 @@ from scipy.stats import multivariate_normal
 
 from qcrsim import readout
 from qcrsim.readout import (
+    ANCHOR_SHOTS,
     STATE_LABELS,
     CovarianceCollapseError,
     ReadoutModel,
@@ -346,30 +346,27 @@ def gather_synthesis(populations, model, n_shots, seed):
     return model.means[states] + np.einsum("nij,nj->ni", chol[states], z), states
 
 
-def anchored_objective(shots, init, weights, means, covs, anchor=200.0):
-    # the anchored fit's objective: data log likelihood plus the log
-    # density of the calibration prior
+def anchored_objective(shots, init, weights, means, covs):
+    # the fit's objective: data log likelihood plus the log density of the
+    # calibration prior
     log_mix = readout._e_step(shots, weights, means, covs)[1]
-    prior = readout._log_anchor_prior(
-        means, covs, init.means, (anchor + 4) * init.covariances, anchor, anchor
-    )
+    psi0 = (ANCHOR_SHOTS + 4) * init.covariances
+    prior = readout._log_anchor_prior(means, covs, init.means, psi0)
     return float(log_mix.sum()) + prior
 
 
-def plain_em(shots, init, reltol, anchor=200.0):
+def plain_em(shots, init, reltol):
     """Plain EM, the reference for fit_gmm's extrapolated loop: one E step
     per M step of the anchored (MAP) update, until the objective changes
     by at most ``reltol`` relative; returns the parameters after the last
     M step."""
-    n, k = shots.shape[0], init.n_components
+    n, k, anchor = shots.shape[0], init.n_components, ANCHOR_SHOTS
     m0, psi0 = init.means, (anchor + 4) * init.covariances
     weights, means, covs = np.full(k, 1.0 / k), init.means, init.covariances
     prev = -math.inf
     for _ in range(10_000):
         resp, log_mix = readout._e_step(shots, weights, means, covs)
-        obj = log_mix.sum() + readout._log_anchor_prior(
-            means, covs, m0, psi0, anchor, anchor
-        )
+        obj = log_mix.sum() + readout._log_anchor_prior(means, covs, m0, psi0)
         nk = resp.sum(axis=1)
         xbar = resp @ shots / nk[:, None]
         diff = shots - xbar[:, None]
@@ -406,9 +403,9 @@ class TestFitGmm:
         assert fit.labels == STATE_LABELS
         assert np.abs(fit.weights - p).max() < 0.02
         assert np.abs(fit.means - model.means).max() < 0.1
-        # component j is the one matched to calibration blob j
+        # component j is nearest calibration blob j
         dist = np.linalg.norm(fit.means[:, None] - model.means[None], axis=2)
-        assert readout._min_cost_matching(dist).tolist() == [0, 1, 2, 3]
+        assert dist.argmin(axis=1).tolist() == [0, 1, 2, 3]
 
     @pytest.mark.parametrize("init", [default_model()], ids=["anchored"])
     def test_estimate_from_fit_is_in_label_order(self, init):
@@ -428,10 +425,10 @@ class TestFitGmm:
         monkeypatch.setattr(readout, "_squarem_step", spy)
         model = default_model()
         mixed, empty = [0.5, 0.3, 0.15, 0.05], [0.75, 0.25, 0.0, 0.0]
-        for p, anchor in [(mixed, 200.0), (mixed, 0.0), (empty, 200.0)]:
+        for p in [mixed, empty]:
             steps.clear()
             shots = synthesize_shots(p, model, 15_000, seed=6)
-            fit = fit_gmm(shots, init=model, anchor=anchor)
+            fit = fit_gmm(shots, init=model)
             h = fit.loglik_history
             assert np.all(np.diff(h) >= -1e-10 * np.abs(h[:-1]))
         # in the last, empty-component fit the weights of the empty
@@ -486,23 +483,27 @@ class TestFitGmm:
         assert reference - fitted <= reference - plain
 
     def test_single_collapse_raises_naming_component(self):
-        """A component started on a few repeated points collapses at the
-        first M step, and the fit stops there, naming it."""
+        """A component calibrated as a point-like blob on a few repeated
+        shots collapses at the first M step, prior and all, and the fit
+        stops there, naming it."""
         model = default_model()
         means, covs = model.means.copy(), model.covariances.copy()
-        means[3], covs[3] = (9.0, 9.0), 0.01 * np.eye(2)
+        means[3], covs[3] = (9.0, 9.0), 1e-6 * np.eye(2)
         init = ReadoutModel(means=means, covariances=covs)
         good = synthesize_shots([0.4, 0.3, 0.2, 0.1], model, 15_000, seed=3)
         shots = np.vstack([good, np.tile([[9.0, 9.0]], (3, 1))])
-        with pytest.raises(CovarianceCollapseError, match=r"component\(s\) 3 \(h\) "):
-            fit_gmm(shots, init=init, anchor=0.0)
+        with pytest.raises(
+            CovarianceCollapseError,
+            match=r"component\(s\) 3 \(h\) collapsed after E step 1:",
+        ):
+            fit_gmm(shots, init=init)
 
     def test_zero_spread_shots_fail_by_name(self):
         shots = np.tile([[0.5, 0.5]], (100, 1))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="zero spread"):
-                fit_gmm(shots, init=default_model(), anchor=0.0)
+                fit_gmm(shots, init=default_model())
 
     def test_draws_no_random_numbers(self, monkeypatch):
         def no_draws(*args):
@@ -513,13 +514,6 @@ class TestFitGmm:
         first = fit_gmm(shots, init=default_model(), seed=1)
         again = fit_gmm(shots, init=default_model(), seed=2)
         assert again.means.tobytes() == first.means.tobytes()
-
-    @pytest.mark.parametrize("anchor", [math.nan, math.inf, -1.0])
-    def test_anchor_must_be_finite_and_non_negative(self, anchor):
-        model = default_model()
-        shots = synthesize_shots([0.25] * 4, model, 1_000, seed=7)
-        with pytest.raises(ValueError, match=f"anchor must .* got {anchor}"):
-            fit_gmm(shots, init=model, anchor=anchor)
 
     def test_anchor_holds_empty_component_at_calibration(self):
         """A component that owns no shots must stay put, not wander."""
@@ -548,30 +542,21 @@ class TestFitGmm:
         want = float(logsumexp(log_pdf, axis=0).sum())
         assert fit.loglik == pytest.approx(want, rel=1e-12)
 
-    def test_repeated_point_cluster_collapses(self):
+    def test_repeated_point_cluster_is_absorbed(self):
+        """A 5 000-shot spike at one point far from every blob collapses
+        no component: the prior keeps each covariance above
+        psi0 / (ANCHOR_SHOTS + n + 4), and the fit converges with one
+        component on the spike."""
         model = default_model()
         good = synthesize_shots([0.4, 0.3, 0.2, 0.1], model, 15_000, seed=3)
-        spike = np.tile([[9.0, 9.0]], (5_000, 1))
-        with pytest.raises(CovarianceCollapseError):
-            fit_gmm(np.vstack([good, spike]), init=model, anchor=0.0)
-
-
-class TestMinCostMatching:
-    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
-    def test_agrees_with_brute_force(self, k):
-        rng = np.random.default_rng(k)
-        for trial in range(60):
-            cost = rng.normal(size=(k, k)) * 10.0 ** rng.uniform(-3, 3)
-            if trial % 2:
-                cost = np.round(cost / np.abs(cost).max() * 3)  # many ties
-            match = readout._min_cost_matching(cost)
-            assert sorted(match.tolist()) == list(range(k))
-            best = min(
-                cost[np.arange(k), list(perm)].sum()
-                for perm in itertools.permutations(range(k))
-            )
-            got = cost[np.arange(k), match].sum()
-            assert got == pytest.approx(best, rel=1e-12, abs=1e-12)
+        shots = np.vstack([good, np.tile([[9.0, 9.0]], (5_000, 1))])
+        fit = fit_gmm(shots, init=model)
+        assert fit.converged
+        psi0 = (ANCHOR_SHOTS + 4) * model.covariances
+        floor = psi0 / (ANCHOR_SHOTS + len(shots) + 4)
+        assert (np.linalg.eigvalsh(fit.covariances - floor) > 0).all()
+        on_spike = np.linalg.norm(fit.means - [9.0, 9.0], axis=1).argmin()
+        assert fit.weights[on_spike] > 0.24
 
 
 def test_erf_is_math_erf_elementwise():
