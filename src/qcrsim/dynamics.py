@@ -47,8 +47,8 @@ class IntegratorError(RuntimeError):
 
 
 class DensityMatrix:
-    """Density matrix with validation against hermiticity, trace and
-    positivity tolerances.
+    """Density matrix with validation against non-finite entries (named
+    by index) and against hermiticity, trace and positivity tolerances.
 
     Construct from a raw matrix, from populations, or with the ``gibbs``
     / ``level`` convenience constructors.
@@ -67,6 +67,9 @@ class DensityMatrix:
 
     def validate(self) -> "DensityMatrix":
         m = self.matrix
+        if not np.isfinite(m).all():
+            i, j = np.argwhere(~np.isfinite(m))[0]
+            raise ValueError(f"entry [{i}, {j}] = {m[i, j]} is not finite")
         scale = max(1.0, float(np.abs(m).max()))
         herm = np.abs(m - m.conj().T).max() / scale
         if herm > HERM_TOL:
@@ -342,14 +345,22 @@ def _snap(steps: float):
     return nearest if abs(steps - nearest) <= 1e-9 else steps
 
 
-def _n_steps(t_end: float, dt: float) -> int:
+def _n_steps(t_end: float, dt: float, sample_every) -> int:
     for name, value in (("dt", dt), ("t_end", t_end)):
         if not 0 < value < math.inf:
             raise ValueError(f"{name} must be positive and finite, got {value}")
     steps = _snap(t_end / dt)
     if not isinstance(steps, int):
         raise ValueError(f"dt={dt} must evenly divide t_end={t_end}")
+    _check_sampling(steps, sample_every)
     return steps
+
+
+def _check_sampling(n_steps: int, sample_every) -> None:
+    if not isinstance(sample_every, (int, np.integer)) or sample_every < 1:
+        raise ValueError(f"sample_every must be an integer >= 1, got {sample_every}")
+    if n_steps % sample_every:
+        raise ValueError("sample_every must divide the number of steps")
 
 
 def _pulse_stretches(pulse: BiasPulse, dt: float, n_steps: int):
@@ -392,9 +403,6 @@ def _propagate_stretches(
         else:
             merged.append([block, start, stop])
     n_steps = merged[-1][2] if merged else 0
-    if sample_every < 1 or n_steps % sample_every:
-        raise ValueError("sample_every must divide the number of steps")
-
     rhos = np.empty((n_steps // sample_every + 1, d, d), dtype=complex)
     rhos[0] = rho0.matrix
     rho = rhos[0]
@@ -469,6 +477,7 @@ def propagate(
     if seg_ids.size and (seg_ids.min() < 0 or seg_ids.max() >= len(blocks)):
         raise ValueError("segment index out of range")
     stretches = [(k, i, i + 1) for i, k in enumerate(seg_ids.tolist())]
+    _check_sampling(len(stretches), sample_every)
     return _propagate_stretches(
         rho0, blocks, stretches, dt, sample_every, transmon, keep_states
     )
@@ -506,13 +515,14 @@ def evolve(
         Record every k-th step into the trajectory.
 
     Raises ValueError, naming the argument, unless dt and t_end are
-    positive and finite.  Every sample is checked; a non-finite state, a
-    trace drift or a negative eigenvalue beyond 1e-6 aborts with an
-    IntegratorError naming the time and step, and so do non-finite rates.
+    positive and finite and sample_every an integer dividing the steps.
+    Every sample is checked; a non-finite state, a trace drift or a
+    negative eigenvalue beyond 1e-6 aborts with an IntegratorError naming
+    the time and step, and so do non-finite rates.
     """
     if t_end is None:
         t_end = pulse.duration
-    volts, stretches = _pulse_stretches(pulse, dt, _n_steps(t_end, dt))
+    volts, stretches = _pulse_stretches(pulse, dt, _n_steps(t_end, dt, sample_every))
     h = np.diag(transmon_energies(system.transmon))
     blocks = [
         _ladder_blocks(h, transition_rates(system, junction, coupling, v))
@@ -537,7 +547,7 @@ def evolve_constant(
     ``hamiltonian`` must be diagonal and sized for the rates; dt and
     t_end as for ``evolve``.
     """
-    stretches = [(0, 0, _n_steps(t_end, dt))]
+    stretches = [(0, 0, _n_steps(t_end, dt, sample_every))]
     blocks = [_ladder_blocks(hamiltonian, rates)]
     return _propagate_stretches(rho0, blocks, stretches, dt, sample_every, transmon)
 

@@ -12,14 +12,13 @@ Energies in meV, voltages in mV (so e*V in meV equals V in mV), rates in
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import H_MEV_PER_GHZ, H_OVER_KB, KB_MEV_PER_K
-from .system import SystemSpec, TransmonSpec, transition_frequencies
+from .system import SystemSpec, transition_frequencies
 
 QUAD_RELTOL = 1e-10
 QUAD_LIMIT = 400  # most panels one integral may be cut into
@@ -333,24 +332,6 @@ def purcell_factor(system: SystemSpec, omega: float) -> float:
     return g1**2 / detuning**2
 
 
-@functools.lru_cache(maxsize=1024)
-def _spectral_rows(
-    transmon: TransmonSpec, v: float, junction: JunctionSpec
-) -> tuple[np.ndarray, np.ndarray]:
-    """F(+h*omega_m, v) and F(-h*omega_m, v) over the ladder, read-only.
-
-    F depends on nothing but the frozen specs and |v|, while kappa_eff
-    and the Purcell weights scale it linearly, so every rate table at
-    the same bias shares these two rows.  Callers pass v = |v|.  The
-    cache is bounded so a process sweeping many biases stays small.
-    """
-    e_phot = H_MEV_PER_GHZ * transition_frequencies(transmon)
-    rows = tunnel_spectral_fn(np.concatenate([e_phot, -e_phot]), v, junction)
-    rows = rows.reshape(2, e_phot.size)
-    rows.flags.writeable = False
-    return rows[0], rows[1]
-
-
 def transition_rates(
     system: SystemSpec,
     junction: JunctionSpec,
@@ -364,12 +345,11 @@ def transition_rates(
 
     with omega_m = omega_ge + m*alpha the m <-> m+1 transition frequency,
     (m+1) the ladder matrix element squared, and P the Purcell filter
-    factor (1 when disabled).  Even in v by construction.  The F rows
-    are memoised per process (see ``_spectral_rows``), so only the first
-    table at a given (transmon, junction, |v|) evaluates integrals.
-    Raises ValueError, via ``SystemSpec.validate``, for a system whose
-    ladder or resonators are outside the dispersive model these rates
-    assume.
+    factor (1 when disabled).  Even in v by construction.  Every call
+    integrates both F rows afresh, in one batch; a caller that needs the
+    same bath again keeps the table.  Raises ValueError, via
+    ``SystemSpec.validate``, for a system whose ladder or resonators are
+    outside the dispersive model these rates assume.
     """
     system.validate()
     omegas = transition_frequencies(system.transmon)
@@ -378,7 +358,8 @@ def transition_rates(
     if coupling.purcell_filter:
         weights *= np.array([purcell_factor(system, w) for w in omegas])
 
-    f_down, f_up = _spectral_rows(system.transmon, float(abs(v)), junction)
+    e_phot = np.outer([1.0, -1.0], H_MEV_PER_GHZ * omegas)  # absorbed, emitted
+    f_down, f_up = tunnel_spectral_fn(e_phot, abs(v), junction)
     scale = coupling.kappa_eff * weights
     return RateTable(
         v=abs(v), omegas=omegas, gamma_down=f_down * scale, gamma_up=f_up * scale

@@ -69,8 +69,10 @@ def default_model(
     ``separation`` sigma apart, isotropic covariance sigma^2, and the
     h-state cloud broadened by ``h_scale``.
     """
-    if separation <= 0 or sigma <= 0 or h_scale <= 0:
-        raise ValueError("separation, sigma and h_scale must be positive")
+    named = {"separation": separation, "sigma": sigma, "h_scale": h_scale}
+    for name, value in named.items():
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
     radius = separation * sigma / math.sqrt(2.0)
     angles = np.deg2rad([0.0, 90.0, 180.0, 270.0])
     means = radius * np.column_stack([np.cos(angles), np.sin(angles)])
@@ -166,6 +168,8 @@ def mahalanobis_sq(points, mean, cov) -> np.ndarray:
 def _check_component(mean, cov):
     if mean.shape != (2,):
         raise ValueError(f"mean must be (2,), got {mean.shape}")
+    if not np.isfinite(mean).all():
+        raise ValueError(f"mean {mean.tolist()} must be finite")
     if (
         cov.shape != (2, 2)
         or not np.isfinite(cov).all()

@@ -48,8 +48,8 @@ class TransmonSpec:
             )
         if not -math.inf < self.alpha < 0:
             raise ValueError(f"alpha must be negative and finite, got {self.alpha}")
-        if self.n_levels < 2:
-            raise ValueError(f"n_levels must be at least 2, got {self.n_levels}")
+        if not isinstance(self.n_levels, (int, np.integer)) or self.n_levels < 2:
+            raise ValueError(f"n_levels must be an integer >= 2, got {self.n_levels}")
 
 
 @dataclass(frozen=True)

@@ -48,8 +48,10 @@ def gibbs_populations(
             f"temperature must be positive and finite, got {temperature}"
         )
     n = spec.n_levels if truncation is None else truncation
-    if not 2 <= n <= spec.n_levels:
-        raise ValueError(f"truncation must lie in [2, {spec.n_levels}], got {n}")
+    if not isinstance(n, (int, np.integer)) or not 2 <= n <= spec.n_levels:
+        raise ValueError(
+            f"truncation must be an integer in [2, {spec.n_levels}], got {n}"
+        )
     e = transmon_energies(spec)[:n]
     # subtract the ground energy (0 by construction) for overflow safety
     p = np.exp(-H_OVER_KB * e / temperature)
@@ -61,8 +63,8 @@ def normalize_leading(p, k: int = 4) -> np.ndarray:
     each row of a table, to sum 1.  Raises ValueError for a NaN or
     infinite entry among the first k."""
     p = np.asarray(p, dtype=float)
-    if not 1 <= k <= p.shape[-1]:
-        raise ValueError(f"k must lie in [1, {p.shape[-1]}], got {k}")
+    if not isinstance(k, (int, np.integer)) or not 1 <= k <= p.shape[-1]:
+        raise ValueError(f"k must be an integer in [1, {p.shape[-1]}], got {k}")
     lead = p[..., :k]
     if not np.isfinite(lead).all():
         raise ValueError(

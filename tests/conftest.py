@@ -25,12 +25,9 @@ def transmon():
 
 @pytest.fixture
 def spectral_calls(monkeypatch):
-    """(e, v, junction) of every energy tunnel_spectral_fn integrates,
-    from a cleared rate cache.
+    """(e, v, junction) of every energy tunnel_spectral_fn integrates.
 
-    A batched call records one entry per energy.  The cache is cleared
-    again afterwards, so rows computed under the patched function never
-    reach another test.
+    A batched call records one entry per energy.
     """
     import numpy as np
 
@@ -43,7 +40,5 @@ def spectral_calls(monkeypatch):
         calls.extend((float(x), v, junction) for x in np.ravel(e))
         return spectral_fn(e, v, junction)
 
-    qcr._spectral_rows.cache_clear()
     monkeypatch.setattr(qcr, "tunnel_spectral_fn", counted)
-    yield calls
-    qcr._spectral_rows.cache_clear()
+    return calls

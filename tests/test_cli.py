@@ -535,6 +535,18 @@ class TestPipelines:
         assert "junction.t_n" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "name, value", [("separation", "nan"), ("sigma", "inf"), ("h_scale", "nan")]
+    )
+    def test_non_finite_geometry_exits_2(self, tmp_path, capsys, name, value):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"geometry.{name} = {value}\n")
+        assert main(["pipeline", str(cfg), "--outdir", str(tmp_path / "out")]) == 2
+        assert (
+            f"geometry block invalid: {name} must be positive and finite, got {value}"
+            in capsys.readouterr().err
+        )
+
+    @pytest.mark.parametrize(
         "key", ["reset.n_levels", "readout.n_levels", "junction.r_t"]
     )
     def test_removed_config_key_exits_2(self, tmp_path, capsys, key):

@@ -133,6 +133,9 @@ class TestExperimentConfig:
             ("pulse.dc_offset", "pulse"),
             ("pulse.period", "pulse"),
             ("pulse.duration", "pulse"),
+            ("geometry.separation", "geometry"),
+            ("geometry.sigma", "geometry"),
+            ("geometry.h_scale", "geometry"),
         ],
     )
     def test_nan_names_the_block(self, key, block):

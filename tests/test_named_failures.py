@@ -37,6 +37,17 @@ def _evolve_constant(dt, t_end):
     qcrsim.evolve_constant(rho0, h, rates, dt=dt, t_end=t_end)
 
 
+def _propagate(sample_every):
+    system = qcrsim.SystemSpec()
+    h = np.diag(qcrsim.transmon_energies(system.transmon))
+    rates = qcrsim.transition_rates(
+        system, qcrsim.JunctionSpec(), qcrsim.CouplingSpec(), 0.0
+    )
+    generator = qcrsim.lindblad_generator(h, rates)
+    rho0 = qcrsim.DensityMatrix.gibbs(0.05, system.transmon)
+    dynamics.propagate(rho0, h, generator[None], [0] * 5, 0.1, sample_every)
+
+
 def _two_states(n, m):
     return (
         qcrsim.DensityMatrix.gibbs(0.05, qcrsim.TransmonSpec(n_levels=n)),
@@ -45,6 +56,7 @@ def _two_states(n, m):
 
 
 VOLTS, TEMPS = [0.4, 0.6, 0.8, 1.0], [0.10, 0.12, 0.14, 0.16]
+MEANS = [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, NAN]]
 
 CASES = {
     "evolve-dt-nan": (
@@ -122,6 +134,54 @@ CASES = {
     "calibrate_kappa_eff-hi-inf": (
         lambda: qcrsim.calibrate_kappa_eff(hi=INF),
         "need 0 < lo < hi < inf, got [0.01, inf]",
+    ),
+    "DensityMatrix-nan": (
+        lambda: qcrsim.DensityMatrix(np.diag([NAN, 1.0, 0.0, 0.0, 0.0, 0.0])),
+        "entry [0, 0] = (nan+0j) is not finite",
+    ),
+    "DensityMatrix-inf": (
+        lambda: qcrsim.DensityMatrix(np.diag([1.0, 0.0, INF, 0.0])),
+        "entry [2, 2] = (inf+0j) is not finite",
+    ),
+    "ReadoutModel-mean-nan": (
+        lambda: qcrsim.ReadoutModel(means=MEANS, covariances=[np.eye(2)] * 4),
+        "mean [0.0, nan] must be finite",
+    ),
+    "default_model-separation-nan": (
+        lambda: qcrsim.default_model(separation=NAN),
+        "separation must be positive and finite, got nan",
+    ),
+    "default_model-sigma-inf": (
+        lambda: qcrsim.default_model(sigma=INF),
+        "sigma must be positive and finite, got inf",
+    ),
+    "default_model-h_scale-nan": (
+        lambda: qcrsim.default_model(h_scale=NAN),
+        "h_scale must be positive and finite, got nan",
+    ),
+    "TransmonSpec-n_levels-float": (
+        lambda: qcrsim.TransmonSpec(n_levels=2.5),
+        "n_levels must be an integer >= 2, got 2.5",
+    ),
+    "gibbs_populations-truncation-float": (
+        lambda: qcrsim.gibbs_populations(0.1, qcrsim.TransmonSpec(), truncation=2.5),
+        "truncation must be an integer in [2, 6], got 2.5",
+    ),
+    "normalize_leading-k-float": (
+        lambda: qcrsim.normalize_leading([0.5, 0.3, 0.2], k=2.5),
+        "k must be an integer in [1, 3], got 2.5",
+    ),
+    "OttoSpec-n_cycles-float": (
+        lambda: qcrsim.OttoSpec(n_cycles=2.5),
+        "n_cycles must be an integer >= 1, got 2.5",
+    ),
+    "evolve-sample_every-float": (
+        lambda: _evolve(dt=0.1, sample_every=2.5),
+        "sample_every must be an integer >= 1, got 2.5",
+    ),
+    "propagate-sample_every-float": (
+        lambda: _propagate(2.5),
+        "sample_every must be an integer >= 1, got 2.5",
     ),
 }
 

@@ -5,6 +5,7 @@ import pytest
 from dataclasses import replace
 from numpy.testing import assert_allclose
 
+from qcrsim import otto
 from qcrsim.otto import (
     OttoSpec,
     frequency_efficiency,
@@ -180,10 +181,21 @@ def test_cycle_runs_are_deterministic(system, junction, coupling):
     assert np.array_equal(a.final_populations, b.final_populations)
 
 
-def test_cycle_computes_each_bath_once(spectral_calls, system, junction, coupling):
-    """The cycle builds 14 rate tables, but only its two baths (v_hot and
-    v_cold) cost tunnelling integrals: 2 tables x 5 transitions x 2 signs."""
+def test_cycle_computes_each_bath_once(
+    monkeypatch, spectral_calls, system, junction, coupling
+):
+    """The cycle builds 2 rate tables, one per bath (v_hot and v_cold),
+    and reuses them on every isochore: 2 tables x 5 transitions x 2 signs
+    of tunnelling integrals."""
+    tables = []
+
+    def counted(*args):
+        tables.append(args[-1])
+        return transition_rates(*args)
+
+    monkeypatch.setattr(otto, "transition_rates", counted)
     spec = OttoSpec()
     run_cycle(spec, system, junction, coupling)
+    assert tables == [spec.v_hot, spec.v_cold]
     assert len(spectral_calls) == 20
     assert {v for _, v, _ in spectral_calls} == {spec.v_hot, spec.v_cold}
