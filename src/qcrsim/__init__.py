@@ -55,6 +55,7 @@ from .readout import (
     fit_gmm,
     fraction_within_sigma,
     mahalanobis_sq,
+    sample_estimate,
     synthesize_shots,
 )
 from .seeding import named_rng

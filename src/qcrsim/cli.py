@@ -43,10 +43,9 @@ from .dynamics import BiasPulse, DensityMatrix, evolve
 from .otto import OttoSpec, run_cycle
 from .qcr import transition_rates
 from .readout import (
-    correct_counts,
-    count_within_sigma,
     estimate_populations,
     fit_gmm,
+    sample_estimate,
     synthesize_shots,
 )
 from .seeding import named_rng
@@ -394,9 +393,12 @@ def pipeline_fig4a(cfg: ExperimentConfig, outdir: Path, seed: int):
     """Amplitude sweep: 100 ns pulses, populations through synthetic
     readout, Gibbs fit per point, heating slope above the gap.
 
-    Each of the 13 points draws 20 000 shots and counts them inside the
-    1-sigma ellipses, then drops them; the (13, 4) count table is
-    corrected once, with one confusion matrix for the one readout model.
+    The readout of each point is its within-1-sigma counts of 20 000
+    shots, drawn from their exact multinomial law by ``sample_estimate``
+    with no shot drawn; the (13, 4) table is drawn and corrected in one
+    call, with one confusion matrix for the one readout model.  A blob
+    geometry whose 1-sigma ellipses overlap fails the readout stage,
+    naming the pairs.
     """
     system = cfg.as_system()
     junction = cfg.as_junction()
@@ -406,23 +408,16 @@ def pipeline_fig4a(cfg: ExperimentConfig, outdir: Path, seed: int):
     rho0 = DensityMatrix.gibbs(IDLE_TEMPERATURE, transmon)
 
     amplitudes = [round(0.1 * i, 1) for i in range(13)]  # 0 .. 1.2 mV
-    n_shots = 20000
-    counts = np.empty((len(amplitudes), model.n_components))
+    p_true = np.empty((len(amplitudes), 4))
     for i, amp in enumerate(amplitudes):
         pulse = BiasPulse(dc_offset=0.0, amplitude=amp, duration=100.0)
         with _stage("evolve"):
             # only the end of the pulse is read out: one sample of 1000 steps
             traj = evolve(rho0, system, junction, coupling, pulse, sample_every=1000)
-        p_true = normalize_leading(traj.final.populations(), 4)
-        with _stage("shots"):
-            shots = synthesize_shots(
-                p_true, model, n_shots, _seed_for(seed, "fig4a-shots", i)
-            )
-        with _stage("fit"):
-            counts[i] = count_within_sigma(shots, model)
-        del shots
-    with _stage("fit"):
-        p = correct_counts(counts, n_shots, model).populations
+        p_true[i] = normalize_leading(traj.final.populations(), 4)
+    with _stage("readout"):
+        est = sample_estimate(p_true, model, 20000, _seed_for(seed, "fig4a-counts"))
+    p = est.populations
 
     write_csv(
         outdir / "sweep_populations.csv",

@@ -608,7 +608,20 @@ def two_level_relaxation(
 
     p_e(t) = p_inf + (p_e(0) - p_inf) exp(-(gd+gu) t) with
     p_inf = gu/(gd+gu); the analytic oracle for the integrator.
+    Raises ValueError unless both rates are finite and non-negative with
+    a positive sum, p_e0 is in [0, 1] and every t is finite (so NaN
+    nowhere).
     """
+    for name, rate in (("gamma_down", gamma_down), ("gamma_up", gamma_up)):
+        if not 0 <= rate < math.inf:
+            raise ValueError(f"{name} must be non-negative and finite, got {rate}")
+    if gamma_down + gamma_up == 0:
+        raise ValueError("gamma_down + gamma_up must be positive, got 0 and 0")
+    if not 0 <= p_e0 <= 1:
+        raise ValueError(f"p_e0 must be in [0, 1], got {p_e0}")
+    t = np.asarray(t, dtype=float)
+    if not np.isfinite(t).all():
+        raise ValueError(f"time t must be finite, got {t[~np.isfinite(t)][0]}")
     total = gamma_down + gamma_up
     p_inf = gamma_up / total
-    return p_inf + (p_e0 - p_inf) * np.exp(-total * np.asarray(t, dtype=float))
+    return p_inf + (p_e0 - p_inf) * np.exp(-total * t)

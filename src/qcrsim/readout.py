@@ -24,6 +24,7 @@ COLLAPSE_DET_FLOOR = 1e-12
 COND_LIMIT = 1e8
 QUADRATURE_TOL = 1e-13
 QUADRATURE_MAX_ANGLES = 2**16
+TOUCH_RTOL = 1e-12  # 1-sigma ellipses this close to touching count as touching
 
 
 class CovarianceCollapseError(RuntimeError):
@@ -81,6 +82,29 @@ def default_model(
     return ReadoutModel(means=means, covariances=covs)
 
 
+def _as_populations(populations, k: int, table: bool = False) -> np.ndarray:
+    # populations as floats: k finite non-negative values with a finite
+    # positive sum, or with ``table`` also an (m, k) table of such rows
+    p = np.asarray(populations, dtype=float)
+    if p.shape != (k,) and not (table and p.ndim == 2 and p.shape[1] == k and p.size):
+        shapes = f"({k},) or (m, {k})" if table else f"({k},)"
+        raise ValueError(f"populations must have shape {shapes}, got {p.shape}")
+    if not np.isfinite(p).all() or p.min() < 0:
+        raise ValueError(f"populations {p.tolist()} must be finite and non-negative")
+    with np.errstate(over="ignore"):
+        total = p.sum(axis=-1)
+    if not ((0 < total) & (total < math.inf)).all():
+        raise ValueError(f"populations {p.tolist()} must have a finite positive sum")
+    return p
+
+
+def _check_n_shots(n_shots) -> None:
+    if isinstance(n_shots, bool) or not isinstance(n_shots, (int, np.integer)):
+        raise ValueError(f"n_shots must be an integer, got {n_shots!r}")
+    if n_shots < 1:
+        raise ValueError(f"n_shots must be positive, got {n_shots}")
+
+
 def synthesize_shots(
     populations,
     model: ReadoutModel,
@@ -99,22 +123,11 @@ def synthesize_shots(
     finite non-negative value per component with a finite positive sum
     and ``n_shots`` is a positive integer (bool excluded).
     """
-    p = np.asarray(populations, dtype=float)
-    if p.shape != (model.n_components,):
-        raise ValueError(f"populations must have shape ({model.n_components},)")
-    if not np.isfinite(p).all() or p.min() < 0:
-        raise ValueError(f"populations {p.tolist()} must be finite and non-negative")
-    with np.errstate(over="ignore"):
-        total = p.sum()
-    if not 0 < total < math.inf:
-        raise ValueError(f"populations {p.tolist()} must have a finite positive sum")
-    if isinstance(n_shots, bool) or not isinstance(n_shots, (int, np.integer)):
-        raise ValueError(f"n_shots must be an integer, got {n_shots!r}")
-    if n_shots < 1:
-        raise ValueError(f"n_shots must be positive, got {n_shots}")
+    p = _as_populations(populations, model.n_components)
+    _check_n_shots(n_shots)
 
     rng = named_rng(seed, "shots")
-    states = rng.choice(model.n_components, size=n_shots, p=p / total)
+    states = rng.choice(model.n_components, size=n_shots, p=p / p.sum())
     z = rng.standard_normal((n_shots, 2))
     # shot = mean + L z with L = chol(cov) lower-triangular, from 1-D takes
     # of the per-component entries, each coordinate summed as in the
@@ -153,14 +166,13 @@ def _inv(cov, det):
 def mahalanobis_sq(points, mean, cov) -> np.ndarray:
     """Squared Mahalanobis distance of each point to (mean, cov).
 
-    Raises ValueError unless ``points`` is (n, 2), ``mean`` has shape (2,)
-    and ``cov`` is a finite 2x2 symmetric positive-definite matrix.
+    Raises ValueError unless ``points`` is a finite (n, 2) array with
+    n >= 1, ``mean`` has shape (2,) and ``cov`` is a finite 2x2 symmetric
+    positive-definite matrix.
     """
-    points = np.asarray(points, dtype=float)
+    points = _as_shots(points, "points")
     mean = np.asarray(mean, dtype=float)
     cov = np.asarray(cov, dtype=float)
-    if points.ndim != 2 or points.shape[1] != 2:
-        raise ValueError(f"points must be (n, 2), got {points.shape}")
     _check_component(mean, cov)
     return _quad_form(points, mean, cov)
 
@@ -255,12 +267,12 @@ class GmmModel(ReadoutModel):
     loglik_history: np.ndarray = field(repr=False)
 
 
-def _as_shots(shots) -> np.ndarray:
+def _as_shots(shots, name: str = "shots") -> np.ndarray:
     shots = np.asarray(shots, dtype=float)
     if shots.ndim != 2 or shots.shape[1] != 2 or shots.shape[0] < 1:
-        raise ValueError(f"shots must be (n, 2) with n >= 1, got {shots.shape}")
+        raise ValueError(f"{name} must be (n, 2) with n >= 1, got {shots.shape}")
     if not np.isfinite(shots).all():
-        raise ValueError(f"shots of shape {shots.shape} contain non-finite values")
+        raise ValueError(f"{name} of shape {shots.shape} contain non-finite values")
     return shots
 
 
@@ -547,12 +559,60 @@ def correction_matrix(model) -> np.ndarray:
     )
 
 
+def _check_disjoint(model) -> None:
+    # ValueError naming every pair of components whose 1-sigma ellipses
+    # overlap.  For blobs (mean_i, A) and (mean_j, B) and r = mean_j -
+    # mean_i, the contact function (Perram & Wertheim, J. Comput. Phys.
+    # 58, 409, 1985)
+    #   F(l) = l (1 - l) g(l),  g = r^T Q^-1 r,  Q = A + l D,  D = B - A,
+    # is concave on [0, 1], and the ellipses overlap exactly when its
+    # maximum is below 1.  The maximum is the root of the secular equation
+    # F'(l) = 0, found by Newton steps kept inside a bisection bracket,
+    # with g' = -w^T D w and g'' = 2 (D w)^T Q^-1 (D w) for w = Q^-1 r.
+    # Every F evaluated is a lower bound of the maximum.  A maximum within
+    # TOUCH_RTOL of 1 is a touch, which rounding cannot tell from one;
+    # touching ellipses share no area, so they count as disjoint.
+    i, j = np.triu_indices(model.n_components, 1)
+    a, r = model.covariances[i], model.means[j] - model.means[i]
+    d = model.covariances[j] - a
+    lo, hi, lam = np.zeros(i.size), np.ones(i.size), np.full(i.size, 0.5)
+    for _ in range(100):
+        q = a + lam[:, None, None] * d
+        q_inv = _inv(q, _exact_det(q))
+        w = np.einsum("pab,pb->pa", q_inv, r)
+        dw = np.einsum("pab,pb->pa", d, w)
+        g, g1 = np.einsum("pa,pa->p", r, w), -np.einsum("pa,pa->p", w, dw)
+        g2 = 2.0 * np.einsum("pa,pab,pb->p", dw, q_inv, dw)
+        contact = lam * (1.0 - lam) * g
+        slope = (1.0 - 2.0 * lam) * g + lam * (1.0 - lam) * g1
+        curv = -2.0 * g + 2.0 * (1.0 - 2.0 * lam) * g1 + lam * (1.0 - lam) * g2
+        lo, hi = np.where(slope > 0, lam, lo), np.where(slope < 0, lam, hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = lam - slope / curv
+        step = np.where((lo <= step) & (step <= hi), step, 0.5 * (lo + hi))
+        if (np.abs(step - lam) <= 1e-12).all():
+            break
+        lam = step
+    overlap = np.flatnonzero(contact < 1.0 - TOUCH_RTOL)
+    if overlap.size:
+        pairs = ", ".join(
+            f"{model.labels[i[n]]}/{model.labels[j[n]]}" for n in overlap
+        )
+        raise ValueError(
+            f"1-sigma ellipses overlap ({pairs}): a shot can land in two, so "
+            "within-sigma counts are not multinomial"
+        )
+
+
 def count_within_sigma(shots, model) -> np.ndarray:
     """Number of shots inside each component's 1-sigma ellipse, shape (k,).
 
-    A shot may land in several ellipses or none.  Raises ValueError
-    unless ``shots`` is a finite (n, 2) array with n >= 1 and every
-    component of ``model`` is a valid blob.
+    A shot may land in several ellipses or none.  When the ellipses are
+    pairwise disjoint, the counts of n shots of populations p are
+    Multinomial(n, [M p, 1 - sum M p]) for the confusion matrix M, and
+    ``sample_estimate`` draws them from that law without shots.  Raises
+    ValueError unless ``shots`` is a finite (n, 2) array with n >= 1 and
+    every component of ``model`` is a valid blob.
     """
     shots = _as_shots(shots)
     means = np.asarray(model.means)
@@ -575,8 +635,9 @@ def correct_counts(counts, n_shots, model) -> PopulationEstimate:
     negatives and renormalizes each row; the estimate has the shape of
     ``counts``.
 
-    Raises ValueError on malformed counts or shot numbers, naming any
-    count above ``n_shots`` (and its row, for a table), and
+    Raises ValueError on malformed counts, on an ``n_shots`` that is not
+    a positive integer (bool excluded), naming any count above
+    ``n_shots`` (and its row, for a table), and
     SingularCorrectionError when cond(M) > 1e8, which is what heavily
     overlapping blob geometries produce, or when a row's corrected
     populations sum to zero.
@@ -587,8 +648,7 @@ def correct_counts(counts, n_shots, model) -> PopulationEstimate:
         raise ValueError(f"counts must be (k,) or (m, k) with k = {k}, got {counts.shape}")
     if not np.isfinite(counts).all() or counts.min() < 0:
         raise ValueError(f"counts {counts.tolist()} must be finite and non-negative")
-    if not 0 < n_shots < math.inf:
-        raise ValueError(f"n_shots must be positive, got {n_shots}")
+    _check_n_shots(n_shots)
     if counts.max() > n_shots:
         first = np.argwhere(counts > n_shots)[0]
         where = f" in row {first[0]}" if counts.ndim == 2 else ""
@@ -597,7 +657,11 @@ def correct_counts(counts, n_shots, model) -> PopulationEstimate:
             f" exceeds n_shots = {n_shots}"
         )
 
-    m = correction_matrix(model)
+    return _correct(counts, n_shots, model, correction_matrix(model))
+
+
+def _correct(counts, n_shots, model, m) -> PopulationEstimate:
+    # the populations of validated counts under the confusion matrix m
     cond = float(np.linalg.cond(m))
     if cond > COND_LIMIT:
         raise SingularCorrectionError(
@@ -619,6 +683,40 @@ def correct_counts(counts, n_shots, model) -> PopulationEstimate:
         labels=tuple(model.labels),
         condition_number=cond,
     )
+
+
+def sample_estimate(
+    populations, model, n_shots: int, seed: int = 0
+) -> PopulationEstimate:
+    """Corrected populations from within-1-sigma counts drawn from their
+    exact law: ``correct_counts`` of what ``count_within_sigma`` would
+    count in ``synthesize_shots(populations, model, n_shots)``, with no
+    shot drawn.
+
+    ``populations`` is one (k,) row or an (m, k) table.  With pairwise
+    disjoint 1-sigma ellipses a shot lands in at most one, so row i's
+    counts are Multinomial(n_shots, [q, 1 - sum q]) with q = M p_i /
+    sum(p_i), M the confusion matrix of ``correction_matrix``, built
+    once.  Row i is drawn from the named sub-stream ("counts", i) of
+    ``seed``, so a row drawn alone equals the same row in a table, and
+    corrected as ``correct_counts`` corrects it.
+
+    Raises ValueError, before any draw, on the arguments
+    ``synthesize_shots`` rejects (a table row by row) and when two
+    components' 1-sigma ellipses overlap, naming the pairs, and
+    SingularCorrectionError as ``correct_counts`` does.
+    """
+    p = _as_populations(populations, model.n_components, table=True)
+    _check_n_shots(n_shots)
+    _check_disjoint(model)
+    m = correction_matrix(model)
+    rows = np.atleast_2d(p)
+    counts = np.empty_like(rows)
+    for i, row in enumerate(rows):
+        q = m @ (row / row.sum())
+        pvals = np.append(q, max(0.0, 1.0 - q.sum()))
+        counts[i] = named_rng(seed, "counts", i).multinomial(n_shots, pvals)[:-1]
+    return _correct(counts.reshape(p.shape), n_shots, model, m)
 
 
 def estimate_populations(shots, model, seed: int = 0) -> PopulationEstimate:

@@ -10,7 +10,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import qcrsim
-from qcrsim import CouplingSpec, JunctionSpec, SystemSpec, readout
+from qcrsim import CouplingSpec, JunctionSpec, SystemSpec, cli, readout
 from qcrsim.cli import PIPELINE_PRESETS, build_parser, main
 from qcrsim.constants import AJ_PER_GHZ
 from qcrsim.otto import OttoSpec, run_cycle
@@ -465,6 +465,34 @@ class TestPipelines:
             ["pipeline", "fig4a", "--seed", "1", "--outdir", str(tmp_path)]
         ) == 0
         assert len(calls) == 1
+
+    @pytest.mark.filterwarnings("error")
+    def test_fig4a_draws_no_shots(self, tmp_path, monkeypatch):
+        """The sweep's within-1-sigma counts come from their multinomial
+        law (readout.sample_estimate), not from synthesized shots."""
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("fig4a synthesized shots")
+
+        monkeypatch.setattr(readout, "synthesize_shots", spy)
+        monkeypatch.setattr(cli, "synthesize_shots", spy)
+        assert main(
+            ["pipeline", "fig4a", "--seed", "1", "--outdir", str(tmp_path)]
+        ) == 0
+        assert calls == []
+
+    @pytest.mark.filterwarnings("error")
+    def test_fig4a_overlapping_geometry_exits_1(self, tmp_path, capsys):
+        """At separation 2 sigma the broadened h ellipse overlaps its
+        neighbours f and g; the counts would not be multinomial."""
+        cfg = tmp_path / "overlap.cfg"
+        cfg.write_text("geometry.separation = 2.0\n")
+        argv = ["pipeline", "fig4a", "--config", str(cfg)]
+        assert main(argv + ["--outdir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "stage 'readout' failed: 1-sigma ellipses overlap (g/h, f/h)" in err
 
     def test_full_pipeline_products_and_determinism(self, tmp_path):
         for sub in ("a", "b"):

@@ -26,8 +26,8 @@ GOLDEN = {
     ("fig3d", "shots.csv"): "46bfb6d638f7c35c52da926035b5121f96f056504df261e1dc320178d6f3dadb",
     ("fig3d", "shots_calibration.csv"): "b40a0ed05eecc61dc426a100fad6a1d8c17b1a81d6b640b2b4e5f85a74092564",
     ("fig3d", "thermo.csv"): "bb2accc4d403f885257a8bfe1bd55ef7f01808182e2b234e7ade4b1e6856d149",
-    ("fig4a", "sweep_populations.csv"): "b2d5805844498057bfc8c57516e63e9a978970b4d273e4230b1a72f8863589df",
-    ("fig4a", "thermo.csv"): "9dcca2084f80e8d55e2efc0da3e461fadde0d9815cd53dac35292d0838a7adf6",
+    ("fig4a", "sweep_populations.csv"): "cc9219d014fbd6d7e61e36889c65f14b253e24d4d6e30fb189f2970644598ffd",
+    ("fig4a", "thermo.csv"): "04a85a637a66e5e47eeddc7c9bd669b8c0e9e77253dde6e3aab773b208735d56",
     ("fig4b", "evolve_0p3mV.csv"): "ac44e138ed945a85720f0d4fa5e4da964c322a3f553a0280a76dee1bc9b19426",
     ("fig4b", "evolve_0p6mV.csv"): "90090ee2fb8199c811da5df9055e1e6fe5b931e0e46a3b8fc790344831984e36",
     ("fig4b", "evolve_1p2mV.csv"): "eb7eee88818ff57f407e00877e1f9098d981f739602031d1b6393cf1063601c4",

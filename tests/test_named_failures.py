@@ -183,6 +183,46 @@ CASES = {
         lambda: _propagate(2.5),
         "sample_every must be an integer >= 1, got 2.5",
     ),
+    "correct_counts-n_shots-bool": (
+        lambda: qcrsim.correct_counts([1, 0, 0, 0], True, qcrsim.default_model()),
+        "n_shots must be an integer, got True",
+    ),
+    "correct_counts-n_shots-float": (
+        lambda: qcrsim.correct_counts([1, 0, 0, 0], 2.5, qcrsim.default_model()),
+        "n_shots must be an integer, got 2.5",
+    ),
+    "sample_estimate-n_shots-bool": (
+        lambda: qcrsim.sample_estimate([1, 0, 0, 0], qcrsim.default_model(), True),
+        "n_shots must be an integer, got True",
+    ),
+    "mahalanobis_sq-points-nan": (
+        lambda: qcrsim.mahalanobis_sq([[0.0, NAN]], [0.0, 0.0], np.eye(2)),
+        "points of shape (1, 2) contain non-finite values",
+    ),
+    "mahalanobis_sq-points-inf": (
+        lambda: qcrsim.mahalanobis_sq([[0.0, 0.0], [INF, 1.0]], [0.0, 0.0], np.eye(2)),
+        "points of shape (2, 2) contain non-finite values",
+    ),
+    "two_level_relaxation-rates-zero": (
+        lambda: qcrsim.two_level_relaxation(0.5, 0.0, 0.0, 1.0),
+        "gamma_down + gamma_up must be positive, got 0 and 0",
+    ),
+    "two_level_relaxation-gamma_down-negative": (
+        lambda: qcrsim.two_level_relaxation(0.5, -1.0, 0.01, 1.0),
+        "gamma_down must be non-negative and finite, got -1.0",
+    ),
+    "two_level_relaxation-gamma_up-nan": (
+        lambda: qcrsim.two_level_relaxation(0.5, 0.03, NAN, 1.0),
+        "gamma_up must be non-negative and finite, got nan",
+    ),
+    "two_level_relaxation-p_e0-nan": (
+        lambda: qcrsim.two_level_relaxation(NAN, 0.03, 0.01, 1.0),
+        "p_e0 must be in [0, 1], got nan",
+    ),
+    "two_level_relaxation-t-nan": (
+        lambda: qcrsim.two_level_relaxation(0.5, 0.03, 0.01, [0.0, NAN]),
+        "time t must be finite, got nan",
+    ),
 }
 
 

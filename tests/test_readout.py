@@ -27,6 +27,7 @@ from qcrsim.readout import (
     fit_gmm,
     fraction_within_sigma,
     mahalanobis_sq,
+    sample_estimate,
     synthesize_shots,
 )
 from qcrsim.seeding import named_rng, stream_key
@@ -794,3 +795,138 @@ class TestCorrectCounts:
         with pytest.raises(ValueError, match="count 11 of e in row 2 exceeds"):
             correct_counts(table, 10, model)
         assert correct_counts([10, 1, 1, 1], 10, model).populations.shape == (4,)
+
+
+def boundary_overlap_margin(model, n_angles=2048):
+    """Dense-boundary oracle for two 1-sigma ellipses: the smallest squared
+    Mahalanobis distance from either ellipse's boundary to the other blob,
+    below 1 exactly when the ellipses share area (one boundary crosses
+    the other ellipse, or lies inside it)."""
+    theta = np.linspace(0.0, 2.0 * math.pi, n_angles, endpoint=False)
+    circle = np.column_stack([np.cos(theta), np.sin(theta)])
+    chol = np.linalg.cholesky(model.covariances)
+    margins = []
+    for a, b in ((0, 1), (1, 0)):
+        edge = model.means[a] + circle @ chol[a].T
+        margins.append(mahalanobis_sq(edge, model.means[b], model.covariances[b]).min())
+    return min(margins)
+
+
+@pytest.mark.filterwarnings("error")
+class TestSampleEstimate:
+    def test_counts_match_shot_path_moments(self):
+        """The within-1-sigma counts of synthesized shots and the drawn
+        counts both have the multinomial mean n q and covariance
+        n (diag q - q q^T), q = M p, to five standard errors over 300
+        seeds of 5 000 shots."""
+        model, n, seeds = default_model(), 5_000, 300
+        p = np.array([0.55, 0.3, 0.1, 0.05])
+        q = correction_matrix(model) @ p
+        cov = n * (np.diag(q) - np.outer(q, q))
+        shot_path = np.array(
+            [count_within_sigma(synthesize_shots(p, model, n, seed=s), model)
+             for s in range(seeds)]
+        )
+        drawn = sample_estimate(np.tile(p, (seeds, 1)), model, n, seed=3).raw_counts
+        var = np.diag(cov)
+        cov_err = np.sqrt((np.outer(var, var) + cov**2) / seeds)
+        for counts in (shot_path, drawn):
+            mean_err = np.sqrt(var / seeds)
+            assert (np.abs(counts.mean(axis=0) - n * q) <= 5.0 * mean_err).all()
+            assert (np.abs(np.cov(counts.T) - cov) <= 5.0 * cov_err).all()
+
+    def test_row_alone_equals_table_row(self):
+        stretched = anisotropic_model()  # its ellipses overlap until spread out
+        model = ReadoutModel(
+            means=2.0 * stretched.means, covariances=stretched.covariances
+        )
+        rows = np.array(
+            [[0.83, 0.14, 0.025, 0.005], [0.4, 0.3, 0.2, 0.1], [0.0, 0.0, 2.0, 0.0]]
+        )
+        table = sample_estimate(rows, model, 3_000, seed=11)
+        alone = sample_estimate(rows[0], model, 3_000, seed=11)
+        others = sample_estimate(rows[::-1], model, 3_000, seed=11)
+        assert table.raw_counts.shape == table.populations.shape == (3, 4)
+        assert alone.raw_counts.tobytes() == table.raw_counts[0].tobytes()
+        assert alone.populations.tobytes() == table.populations[0].tobytes()
+        # row 1 is the same in both tables; the rows around it differ
+        assert others.raw_counts[1].tobytes() == table.raw_counts[1].tobytes()
+        assert others.populations[1].tobytes() == table.populations[1].tobytes()
+        assert table.correction.tobytes() == correction_matrix(model).tobytes()
+
+    def test_corrects_as_correct_counts(self):
+        model, rows = default_model(), np.array([[0.7, 0.2, 0.07, 0.03]] * 2)
+        est = sample_estimate(rows, model, 20_000, seed=5)
+        again = correct_counts(est.raw_counts, 20_000, model)
+        assert est.populations.tobytes() == again.populations.tobytes()
+        assert est.condition_number == again.condition_number
+
+    def test_disjointness_matches_boundary_oracle(self):
+        rng = np.random.default_rng(17)
+        verdicts = {True: 0, False: 0}
+        for _ in range(300):
+            a = rng.standard_normal((2, 2, 2))
+            covs = a @ np.swapaxes(a, 1, 2) + 0.05 * np.eye(2)
+            means = 2.0 * rng.standard_normal((2, 2))
+            model = ReadoutModel(means=means, covariances=covs, labels=("a", "b"))
+            margin = boundary_overlap_margin(model)
+            if abs(margin - 1.0) < 0.01:  # near touching: the oracle's angles miss it
+                continue
+            try:
+                readout._check_disjoint(model)
+                overlap = False
+            except ValueError as exc:
+                assert "(a/b)" in str(exc)
+                overlap = True
+            assert overlap == (margin < 1.0), margin
+            verdicts[overlap] += 1
+        assert min(verdicts.values()) >= 50, verdicts
+
+    def test_touching_ellipses_count_as_disjoint(self):
+        """Adjacent means 1 + sqrt(h_scale) sigma apart put the h ellipse
+        against its neighbours; any closer and they overlap."""
+        readout._check_disjoint(default_model(separation=1.0 + math.sqrt(2.0)))
+        two = ReadoutModel(
+            means=[[0.0, 0.0], [3.0, 0.0]],
+            covariances=[np.diag([1.0, 4.0]), np.diag([4.0, 1.0])],
+            labels=("a", "b"),
+        )
+        readout._check_disjoint(two)
+        with pytest.raises(ValueError, match=re.escape("(g/h, f/h)")):
+            readout._check_disjoint(default_model(separation=2.414))
+
+    def test_one_component_has_no_pair_to_check(self):
+        model = ReadoutModel(means=[[0.0, 0.0]], covariances=[np.eye(2)], labels=("g",))
+        est = sample_estimate([[2.0], [1.0]], model, 1_000, seed=2)
+        assert est.populations.tolist() == [[1.0], [1.0]]
+        assert est.raw_counts.shape == (2, 1)
+
+    @pytest.mark.parametrize(
+        "separation, pairs", [(2.0, "(g/h, f/h)"), (1.5, "(g/e, g/h, e/f, e/h, f/h)")]
+    )
+    def test_overlapping_ellipses_fail_by_name(self, monkeypatch, separation, pairs):
+        def built(model):
+            raise AssertionError("built the confusion matrix before the check")
+
+        monkeypatch.setattr(readout, "correction_matrix", built)
+        model = default_model(separation=separation)
+        with pytest.raises(ValueError, match=re.escape(f"ellipses overlap {pairs}")):
+            sample_estimate([1.0, 0.0, 0.0, 0.0], model, 100)
+
+    @pytest.mark.parametrize(
+        "populations, n_shots, message",
+        [
+            (np.ones(3), 10, "must have shape (4,) or (m, 4), got (3,)"),
+            (np.ones((0, 4)), 10, "must have shape (4,) or (m, 4), got (0, 4)"),
+            ([[1, 0, 0, 0], [0, 0, 0, 0]], 10, "must have a finite positive sum"),
+            ([[1, 0, 0, 0], [0, np.nan, 0, 0]], 10, "must be finite and non-negative"),
+            (np.ones(4), 2.5, "n_shots must be an integer, got 2.5"),
+            (np.ones(4), True, "n_shots must be an integer, got True"),
+            (np.ones(4), 0, "n_shots must be positive, got 0"),
+        ],
+        ids=["wrong-k", "no-rows", "zero-row", "nan-row", "float-shots", "bool-shots",
+             "zero-shots"],
+    )
+    def test_rejects_what_synthesize_shots_rejects(self, populations, n_shots, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            sample_estimate(populations, default_model(), n_shots)
