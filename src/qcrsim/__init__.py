@@ -38,6 +38,7 @@ from .qcr import (
     RateTable,
     dynes_dos,
     effective_temperature,
+    rate_tables,
     transition_rates,
     tunnel_spectral_fn,
 )

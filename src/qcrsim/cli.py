@@ -39,9 +39,9 @@ import numpy as np
 from .calibrate import IDLE_TEMPERATURE
 from .config import ConfigError, ExperimentConfig, load_config, write_echo
 from .constants import AJ_PER_GHZ
-from .dynamics import BiasPulse, DensityMatrix, evolve
+from .dynamics import BiasPulse, DensityMatrix, evolve, evolve_constant
 from .otto import OttoSpec, run_cycle
-from .qcr import transition_rates
+from .qcr import rate_tables
 from .readout import (
     estimate_populations,
     fit_gmm,
@@ -49,6 +49,7 @@ from .readout import (
     synthesize_shots,
 )
 from .seeding import named_rng
+from .system import transmon_energies
 from .thermometry import (
     fit_gibbs,
     fit_saturation,
@@ -142,7 +143,7 @@ def stage_rates(cfg: ExperimentConfig, outdir: Path, biases) -> Path:
     system = cfg.as_system()
     junction = cfg.as_junction()
     coupling = cfg.as_coupling()
-    tables = [transition_rates(system, junction, coupling, v) for v in biases]
+    tables = rate_tables(system, junction, coupling, biases)
     m = np.arange(system.transmon.n_levels - 1)
     return write_csv(
         outdir / "rates.csv",
@@ -362,6 +363,19 @@ def _stage(name: str):
         raise StageError(f"stage '{name}' failed: {exc}") from exc
 
 
+def _readout_system(cfg: ExperimentConfig):
+    """The configured system, for a preset that reads out and fits the
+    four states g, e, f and h; raises ConfigError below 4 levels."""
+    system = cfg.as_system()
+    n = system.transmon.n_levels
+    if n < 4:
+        raise ConfigError(
+            f"transmon.n_levels = {n}: the readout presets (fig3d, fig4a, "
+            "fig4b, full) read out g, e, f and h and need at least 4 levels"
+        )
+    return system
+
+
 def pipeline_fig3d(cfg: ExperimentConfig, outdir: Path, seed: int):
     """Idle thermal state through the full readout chain.
 
@@ -370,7 +384,7 @@ def pipeline_fig3d(cfg: ExperimentConfig, outdir: Path, seed: int):
     fit to that set, started from and anchored at the configured blob
     geometry, and a corrected population estimate + Gibbs fit on it.
     """
-    transmon = cfg.as_system().transmon
+    transmon = _readout_system(cfg).transmon
     p4 = normalize_leading(gibbs_populations(IDLE_TEMPERATURE, transmon), 4)
     with _stage("shots"):
         stage_shots(
@@ -393,28 +407,34 @@ def pipeline_fig4a(cfg: ExperimentConfig, outdir: Path, seed: int):
     """Amplitude sweep: 100 ns pulses, populations through synthetic
     readout, Gibbs fit per point, heating slope above the gap.
 
-    The readout of each point is its within-1-sigma counts of 20 000
-    shots, drawn from their exact multinomial law by ``sample_estimate``
-    with no shot drawn; the (13, 4) table is drawn and corrected in one
-    call, with one confusion matrix for the one readout model.  A blob
-    geometry whose 1-sigma ellipses overlap fails the readout stage,
-    naming the pairs.
+    The pulses are square with no dc offset and the rates are even in V,
+    so each pulse is a constant-|V| bath: the 13 rate tables are
+    integrated in one batch and each pulse is propagated under its own
+    table with ``evolve_constant``.  The readout of each point is its
+    within-1-sigma counts of 20 000 shots, drawn from their exact
+    multinomial law by ``sample_estimate`` with no shot drawn; the
+    (13, 4) table is drawn and corrected in one call, with one confusion
+    matrix for the one readout model.  A blob geometry whose 1-sigma
+    ellipses overlap fails the readout stage, naming the pairs.
     """
-    system = cfg.as_system()
+    system = _readout_system(cfg)
     junction = cfg.as_junction()
     coupling = cfg.as_coupling()
     model = cfg.as_readout_model()
     transmon = system.transmon
     rho0 = DensityMatrix.gibbs(IDLE_TEMPERATURE, transmon)
+    h = np.diag(transmon_energies(transmon))
 
     amplitudes = [round(0.1 * i, 1) for i in range(13)]  # 0 .. 1.2 mV
-    p_true = np.empty((len(amplitudes), 4))
-    for i, amp in enumerate(amplitudes):
-        pulse = BiasPulse(dc_offset=0.0, amplitude=amp, duration=100.0)
-        with _stage("evolve"):
-            # only the end of the pulse is read out: one sample of 1000 steps
-            traj = evolve(rho0, system, junction, coupling, pulse, sample_every=1000)
-        p_true[i] = normalize_leading(traj.final.populations(), 4)
+    with _stage("rates"):
+        tables = rate_tables(system, junction, coupling, amplitudes)
+    with _stage("evolve"):
+        # only the end of the pulse is read out: one sample of 1000 steps
+        finals = [
+            evolve_constant(rho0, h, table, 0.1, 100.0, 1000, transmon).final
+            for table in tables
+        ]
+    p_true = normalize_leading([rho.populations() for rho in finals], 4)
     with _stage("readout"):
         est = sample_estimate(p_true, model, 20000, _seed_for(seed, "fig4a-counts"))
     p = est.populations
@@ -432,6 +452,7 @@ def pipeline_fig4b(cfg: ExperimentConfig, outdir: Path, seed: int):
     """Heating saturation: T(t) under three pulse amplitudes with a
     saturation fit per amplitude (noiseless simulation)."""
     del seed  # purely deterministic simulation; seed only enters the echo
+    _readout_system(cfg)
     for amp in (0.3, 0.6, 1.2):
         pulse = BiasPulse(dc_offset=0.0, amplitude=amp, duration=600.0)
         tag = f"{amp:.1f}".replace(".", "p")
@@ -464,6 +485,7 @@ def pipeline_otto_demo(cfg: ExperimentConfig, outdir: Path, seed: int):
 def pipeline_full(cfg: ExperimentConfig, outdir: Path, seed: int):
     """Chained default pipeline: rates -> evolve -> shots -> fit ->
     thermo, all at the configured pulse."""
+    _readout_system(cfg)
     pulse = cfg.as_pulse()
     with _stage("rates"):
         stage_rates(

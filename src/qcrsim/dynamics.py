@@ -31,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from . import thermometry
-from .qcr import CouplingSpec, JunctionSpec, RateTable, transition_rates
+from .qcr import CouplingSpec, JunctionSpec, RateTable, rate_tables, transition_rates
 from .system import SystemSpec, TransmonSpec, transmon_energies
 
 TRACE_TOL = 1e-9
@@ -495,10 +495,10 @@ def evolve(
 ) -> Trajectory:
     """Propagate the pulsed master equation exactly from ``rho0``.
 
-    The bare ladder Hamiltonian supplies the coherent part; rates are
-    rebuilt once per distinct |V| taken by the pulse (the tunneling rates
-    are even in V, so the net-zero square drive acts as a constant-|V|
-    bath when dc_offset = 0).
+    The bare ladder Hamiltonian supplies the coherent part; the rates of
+    every distinct |V| taken by the pulse are built in one batch
+    (``rate_tables``).  The tunneling rates are even in V, so the
+    net-zero square drive acts as a constant-|V| bath when dc_offset = 0.
 
     Parameters
     ----------
@@ -524,10 +524,8 @@ def evolve(
         t_end = pulse.duration
     volts, stretches = _pulse_stretches(pulse, dt, _n_steps(t_end, dt, sample_every))
     h = np.diag(transmon_energies(system.transmon))
-    blocks = [
-        _ladder_blocks(h, transition_rates(system, junction, coupling, v))
-        for v in volts
-    ]
+    tables = rate_tables(system, junction, coupling, volts)
+    blocks = [_ladder_blocks(h, table) for table in tables]
     return _propagate_stretches(
         rho0, blocks, stretches, dt, sample_every, system.transmon
     )

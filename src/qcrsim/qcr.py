@@ -22,6 +22,7 @@ from .system import SystemSpec, transition_frequencies
 
 QUAD_RELTOL = 1e-10
 QUAD_LIMIT = 400  # most panels one integral may be cut into
+_SLICE = 256  # most panels one integrand call evaluates
 
 # Gauss-Kronrod 7/15 rule on [-1, 1] (QUADPACK qk15), outermost node
 # first: node, Kronrod weight, Gauss weight (zero on the Kronrod-only
@@ -150,7 +151,10 @@ def _gauss_kronrod(integrand, knots, where) -> np.ndarray:
 
     Integral i runs over the increasing breakpoints ``knots[i]``, one
     starting panel between each neighbouring pair.  ``integrand(x, k)``
-    returns integrand k[p] at x[p] for a (panels, 15) array x.  Each round
+    returns integrand k[p] at x[p] for a (panels, 15) array x.  It is called
+    on slices of at most _SLICE panels, each reduced to its rule sums at
+    once, which bounds the temporaries of a large batch; every step acts
+    on a panel's own row, so the slicing changes no bit.  Each round
     evaluates only the panels not seen before.  Integral i is done when
     the |K - G| of its panels sum to at most max(QUAD_RELTOL |I|,
     50 eps int|f|), the second term a floor at the roundoff of the sum.
@@ -185,10 +189,16 @@ def _gauss_kronrod(integrand, knots, where) -> np.ndarray:
                 f"{QUAD_LIMIT} panels"
             )
         half = 0.5 * (new_hi - new_lo)
-        f = integrand((new_lo + half)[:, None] + half[:, None] * _GK_X, owner)
-        kronrod = (f * _GK_WK).sum(axis=1) * half
-        error = np.abs(kronrod - (f * _GK_WG).sum(axis=1) * half)
-        magnitude = (np.abs(f) * _GK_WK).sum(axis=1) * half
+        centre = new_lo + half
+        sums = np.empty((3, half.size))  # rule sums: Kronrod, Gauss, |f|
+        for i in range(0, half.size, _SLICE):
+            part = slice(i, i + _SLICE)
+            f = integrand(centre[part, None] + half[part, None] * _GK_X, owner[part])
+            sums[0, part] = (f * _GK_WK).sum(axis=1)
+            sums[1, part] = (f * _GK_WG).sum(axis=1)
+            sums[2, part] = (np.abs(f) * _GK_WK).sum(axis=1)
+        kronrod, gauss, magnitude = sums * half
+        error = np.abs(kronrod - gauss)
         panels = np.hstack(
             [panels, [new_lo, new_hi, owner, kronrod, error, magnitude]]
         )
@@ -255,7 +265,7 @@ def _finite(name: str, value) -> np.ndarray:
     return values
 
 
-def tunnel_spectral_fn(e, v: float, junction: JunctionSpec):
+def tunnel_spectral_fn(e, v, junction: JunctionSpec):
     """Normalized golden-rule spectral function F(E, V) of the junction.
 
     F(E, V) = (1/Delta) * sum_{tau=+-1} integral deps
@@ -269,10 +279,11 @@ def tunnel_spectral_fn(e, v: float, junction: JunctionSpec):
     Parameters
     ----------
     e : float or array
-        Photon energy in meV (signed).  An array is integrated as one
-        batch and gives an array of its shape; a scalar gives a float.
-    v : float
-        Bias voltage in mV; enters via |v|, so F is even in v.
+        Photon energy in meV (signed).
+    v : float or array
+        Bias voltage in mV; enters via |v|, so F is even in v.  e and v
+        broadcast against each other and are integrated as one batch,
+        giving an array of the broadcast shape; two scalars give a float.
     junction : JunctionSpec
 
     Raises
@@ -286,25 +297,40 @@ def tunnel_spectral_fn(e, v: float, junction: JunctionSpec):
     -----
     Both Fermi factors share t_n, so integrating by parts against the odd
     antiderivative N of n_S (``dynes_antiderivative``) leaves, per term,
-    one bounded, kT-wide integral of N(eps) G(eps) over [0, t + 50/beta],
-    in units of Delta with s = (E + tau eV)/Delta, t = |s|, beta = Delta/kT
-    and d = beta |eps - t|.  The kernel G = [K(eps - s) - K(eps + s)] /
-    (1 - e^(-beta s)), K = -f', has no 0/0 at s = 0 and is evaluated free
-    of overflow and cancellation as beta (1 + e^(-beta t)) e^(beta min(s, 0))
-    (1 - e^(-2 beta eps)) e^(-d) / ((1 + e^(-d)) (1 + e^(-beta (eps + t))))^2.
+    one bounded, kT-wide integral I(s) of N(eps) G(eps) over
+    [0, t + 50/beta], in units of Delta with s = (E + tau eV)/Delta,
+    t = |s|, beta = Delta/kT and d = beta |eps - t|.  The kernel
+    G = [K(eps - s) - K(eps + s)] / (1 - e^(-beta s)), K = -f', has no 0/0
+    at s = 0 and is evaluated free of overflow and cancellation as
+    beta (1 + e^(-beta t)) e^(beta min(s, 0)) (1 - e^(-2 beta eps)) e^(-d)
+    / ((1 + e^(-d)) (1 + e^(-beta (eps + t))))^2.  It depends on the sign
+    of s only through e^(beta min(s, 0)), so detailed balance holds term
+    by term, I(-t) = e^(-beta t) I(t): each distinct t of the batch is
+    integrated once and the factor applied after.  The up row of a rate
+    table thus reuses the integrals of its down row.
     Adaptive Gauss-Kronrod (G7/K15) quadrature from starting panels graded
     toward the cusp of N at the gap edge and the kernel's peak at t (see
     ``_knots``); a panel that needs refining is cut into four, to relative
     tolerance QUAD_RELTOL.  Each value is the same, bit for bit, alone or
     in any batch.
     """
-    energies = _finite("photon energy e", e)
-    _finite("bias v", v)
+    energies, volts = np.broadcast_arrays(
+        _finite("photon energy e", e), _finite("bias v", v)
+    )
     beta = junction.delta / (KB_MEV_PER_K * junction.t_n)  # gap / thermal energy
-    # kernel centres, two per energy: s = (E + eV)/Delta, (E - eV)/Delta
-    s = (energies.reshape(-1, 1) + [abs(v), -abs(v)]).ravel() / junction.delta
-    t = np.abs(s)
-    scale = beta * (1.0 + np.exp(-beta * t)) * np.exp(beta * np.minimum(s, 0.0))
+    # kernel centres, two per element: s = (E + e|V|)/Delta, (E - e|V|)/Delta
+    flat, bias = energies.ravel(), np.abs(volts).ravel()
+    s = np.stack([flat + bias, flat - bias], axis=1).ravel() / junction.delta
+    # one integral per distinct t = |s|.  The stable sort and searchsorted
+    # are the routines _knots and _gauss_kronrod already run: argsort or
+    # np.unique's quicksort would page in more of numpy (0.1-0.35 MB RSS).
+    ranked = np.sort(np.abs(s), kind="stable")
+    t = ranked[np.diff(ranked, prepend=-1.0) > 0]
+    index = np.searchsorted(t, np.abs(s))
+    scale = beta * (1.0 + np.exp(-beta * t))
+
+    def first(i):  # the first element whose terms need integral i
+        return int(np.argmax(index == i)) // 2
 
     def integrand(x, k):
         tk = t[k][:, None]
@@ -313,12 +339,14 @@ def tunnel_spectral_fn(e, v: float, junction: JunctionSpec):
         kernel /= ((1.0 + tail) * (1.0 + np.exp(-beta * (x + tk)))) ** 2
         return dynes_antiderivative(x, junction.gamma_d) * kernel
 
-    knots = _knots(t, beta, junction.gamma_d)
-    terms = _gauss_kronrod(
-        integrand, knots, lambda i: f"E = {energies.flat[i // 2]} meV, V = {v} mV"
+    integrals = _gauss_kronrod(
+        integrand,
+        _knots(t, beta, junction.gamma_d),
+        lambda i: f"E = {flat[first(i)]} meV, V = {volts.flat[first(i)]} mV",
     )
+    terms = integrals[index] * np.exp(beta * np.minimum(s, 0.0))
     values = terms[0::2] + terms[1::2]
-    if np.isscalar(e):
+    if energies.ndim == 0:
         return float(values[0])
     return values.reshape(energies.shape)
 
@@ -332,13 +360,14 @@ def purcell_factor(system: SystemSpec, omega: float) -> float:
     return g1**2 / detuning**2
 
 
-def transition_rates(
+def rate_tables(
     system: SystemSpec,
     junction: JunctionSpec,
     coupling: CouplingSpec,
-    v: float,
-) -> RateTable:
-    """Ladder transition rates of the transmon at bias v (mV).
+    biases,
+) -> list[RateTable]:
+    """Ladder transition rates of the transmon at each bias in ``biases``
+    (mV), one table per bias.
 
     gamma_down(m) = kappa_eff * (m+1) * P(omega_m) * F(+h*omega_m, v)
     gamma_up(m)   = kappa_eff * (m+1) * P(omega_m) * F(-h*omega_m, v)
@@ -346,12 +375,18 @@ def transition_rates(
     with omega_m = omega_ge + m*alpha the m <-> m+1 transition frequency,
     (m+1) the ladder matrix element squared, and P the Purcell filter
     factor (1 when disabled).  Even in v by construction.  Every call
-    integrates both F rows afresh, in one batch; a caller that needs the
-    same bath again keeps the table.  Raises ValueError, via
-    ``SystemSpec.validate``, for a system whose ladder or resonators are
-    outside the dispersive model these rates assume.
+    integrates the F rows of all its biases afresh, in one batch that
+    integrates each distinct |s| once (``tunnel_spectral_fn``); a table is
+    the same, bit for bit, in any batch, and a caller that needs the same
+    bath again keeps it.  Raises ValueError unless ``biases`` is a 1-d
+    sequence of finite voltages, and, via ``SystemSpec.validate``, for a
+    system whose ladder or resonators are outside the dispersive model
+    these rates assume.
     """
     system.validate()
+    volts = np.abs(_finite("bias v", biases))
+    if volts.ndim != 1:
+        raise ValueError(f"biases must be a 1-d sequence, got shape {volts.shape}")
     omegas = transition_frequencies(system.transmon)
     m = np.arange(omegas.size)
     weights = (m + 1).astype(float)
@@ -359,11 +394,23 @@ def transition_rates(
         weights *= np.array([purcell_factor(system, w) for w in omegas])
 
     e_phot = np.outer([1.0, -1.0], H_MEV_PER_GHZ * omegas)  # absorbed, emitted
-    f_down, f_up = tunnel_spectral_fn(e_phot, abs(v), junction)
+    rows = tunnel_spectral_fn(e_phot, volts[:, None, None], junction)
     scale = coupling.kappa_eff * weights
-    return RateTable(
-        v=abs(v), omegas=omegas, gamma_down=f_down * scale, gamma_up=f_up * scale
-    )
+    return [
+        RateTable(v=v, omegas=omegas, gamma_down=down * scale, gamma_up=up * scale)
+        for v, (down, up) in zip(volts.tolist(), rows)
+    ]
+
+
+def transition_rates(
+    system: SystemSpec,
+    junction: JunctionSpec,
+    coupling: CouplingSpec,
+    v: float,
+) -> RateTable:
+    """Ladder transition rates of the transmon at one bias v (mV): the
+    table of ``rate_tables`` for [v], with the same checks."""
+    return rate_tables(system, junction, coupling, [v])[0]
 
 
 def effective_temperature(gamma_down: float, gamma_up: float, omega: float) -> float:

@@ -466,6 +466,34 @@ class TestPipelines:
         ) == 0
         assert len(calls) == 1
 
+    def test_fig4a_integrates_its_rates_in_one_batch(
+        self, tmp_path, integral_batches, spectral_calls
+    ):
+        """13 tables of 5 rate pairs hold 260 tunnelling terms, of which
+        125 distinct |s| are integrated, in one tunnel_spectral_fn call."""
+        assert main(
+            ["pipeline", "fig4a", "--seed", "1", "--outdir", str(tmp_path)]
+        ) == 0
+        assert len(spectral_calls) == 13 * 2 * 5
+        assert integral_batches == [125]
+
+    @pytest.mark.parametrize("preset", ["fig3d", "fig4a", "fig4b", "full"])
+    def test_readout_preset_needs_four_levels(self, tmp_path, capsys, preset):
+        cfg = tmp_path / "three.cfg"
+        cfg.write_text("transmon.n_levels = 3\n")
+        argv = ["pipeline", preset, "--config", str(cfg)]
+        assert main(argv + ["--outdir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "config error: transmon.n_levels = 3" in err
+        assert "at least 4 levels" in err
+        assert not list((tmp_path / "out").glob("*.csv"))
+
+    def test_otto_demo_runs_on_three_levels(self, tmp_path):
+        cfg = tmp_path / "three.cfg"
+        cfg.write_text("transmon.n_levels = 3\n")
+        argv = ["pipeline", "otto-demo", "--config", str(cfg)]
+        assert main(argv + ["--outdir", str(tmp_path / "out")]) == 0
+
     @pytest.mark.filterwarnings("error")
     def test_fig4a_draws_no_shots(self, tmp_path, monkeypatch):
         """The sweep's within-1-sigma counts come from their multinomial

@@ -368,6 +368,17 @@ class TestEvolve:
         want = step(0.6, 0.05) @ step(1.2, 0.15) @ p0
         assert np.abs(traj.populations[2] - want).max() < 1e-12
 
+    def test_rates_of_every_bias_in_one_batch(
+        self, integral_batches, spectral_calls, system, junction, coupling
+    ):
+        """A pulse with a dc offset takes two |V|; evolve integrates both
+        rate tables in one tunnelling batch."""
+        rho0 = DensityMatrix.gibbs(0.11, system.transmon)
+        pulse = BiasPulse(dc_offset=0.3, amplitude=0.9, duration=20.0)
+        evolve(rho0, system, junction, coupling, pulse)
+        assert len(integral_batches) == 1
+        assert sorted({v for _, v, _ in spectral_calls}) == [0.6, 1.2]
+
     def test_t_end_must_be_whole_steps(self, system, junction, coupling):
         rho0 = DensityMatrix.gibbs(0.11, system.transmon)
         pulse = BiasPulse(amplitude=1.2, duration=100.0, period=10.0)

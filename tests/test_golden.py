@@ -39,7 +39,7 @@ GOLDEN = {
     ("fig4b", "thermo_1p2mV.csv"): "bbd8c4d332874ff4697dacc68888bbc1312820d3e95400461f700573a0028bf6",
     ("full", "evolve.csv"): "963cbfe33cba7234d1ec37cd8e878ed48076d28fc54fef84350819bdb7c7e63f",
     ("full", "populations.csv"): "765e314508c95e06f29b6d4c32b91cdadf73e1bcea48bec0cb48907ac3572c5f",
-    ("full", "rates.csv"): "7c30003c7e76f570298eacb6cd9e806eaa3f572545d2cacd2eebc0becf6b3d6c",
+    ("full", "rates.csv"): "e317dcab756336de641998b7d5592fa3f080b3967fe324ae6107cccf40d5bdf5",
     ("full", "shots.csv"): "fd0323e123881ea203d3adbf05effcb2b102f8046b5988e332cfc23c50c85c78",
     ("full", "thermo.csv"): "2c47a190784ef9e6a9ca3520b745ff68abed7d3448e5523ed64ad1c4e762e5cc",
     ("otto-demo", "otto.csv"): "002291dfafca4c4c623c695ed1589769b13d64bbfa723cfc62776ea41159d019",

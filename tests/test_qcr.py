@@ -19,6 +19,7 @@ from qcrsim.qcr import (
     dynes_dos,
     effective_temperature,
     purcell_factor,
+    rate_tables,
     transition_rates,
     tunnel_spectral_fn,
 )
@@ -144,12 +145,13 @@ class TestSpectralFunction:
     @pytest.mark.parametrize("t_n", [0.03, 0.1, 0.3])
     @pytest.mark.parametrize("f_ghz", [4.09, 3.817, 2.0])
     def test_detailed_balance_at_zero_bias(self, t_n, f_ghz):
-        """Emission/absorption ratio at V = 0 is the Boltzmann factor."""
+        """Emission/absorption ratio at V = 0 is the Boltzmann factor, to
+        rounding: both terms share t = E/Delta, I(-t) = e^(-beta t) I(t)."""
         jn = JunctionSpec(t_n=t_n)
         e = H_MEV_PER_GHZ * f_ghz
         ratio = tunnel_spectral_fn(-e, 0.0, jn) / tunnel_spectral_fn(e, 0.0, jn)
         assert ratio == pytest.approx(
-            math.exp(-e / (KB_MEV_PER_K * t_n)), rel=1e-10
+            math.exp(-e / (KB_MEV_PER_K * t_n)), rel=1e-14
         )
 
     @pytest.mark.parametrize("gamma_d", [1e-5, 1e-4])
@@ -161,7 +163,7 @@ class TestSpectralFunction:
         jn = JunctionSpec(gamma_d=gamma_d, t_n=0.01)
         e = H_MEV_PER_GHZ * 4.09
         ratio = tunnel_spectral_fn(-e, 0.0, jn) / tunnel_spectral_fn(e, 0.0, jn)
-        assert ratio == pytest.approx(math.exp(-e / (KB_MEV_PER_K * 0.01)), rel=1e-10)
+        assert ratio == pytest.approx(math.exp(-e / (KB_MEV_PER_K * 0.01)), rel=1e-14)
 
     def test_monotone_in_energy(self, junction):
         energies = np.linspace(-0.05, 0.05, 21)
@@ -295,10 +297,14 @@ class TestGaussKronrod:
     def test_spectral_batch_equals_alone(self):
         jn = JunctionSpec(gamma_d=1e-4, t_n=0.03)
         e = H_MEV_PER_GHZ * np.array([4.09, -4.09, 8.0, -1.0, 3.817, 0.0])
-        for v in (0.0, 0.2, 0.23, 1.2, 10.0):
+        volts = (0.0, 0.2, -0.23, 1.2, 10.0)
+        grid = tunnel_spectral_fn(e, np.array(volts)[:, None], jn)
+        assert grid.shape == (len(volts), e.size)
+        for v, row in zip(volts, grid):
             batch = tunnel_spectral_fn(e, v, jn)
             alone = [tunnel_spectral_fn(float(x), v, jn) for x in e]
             assert np.array_equal(batch, alone)
+            assert np.array_equal(row, alone)
             assert np.array_equal(batch[::-1], tunnel_spectral_fn(e[::-1], v, jn))
 
     @pytest.mark.parametrize("v", [0.0, 0.6, 1.2])
@@ -515,6 +521,31 @@ class TestRateCache:
         again = transition_rates(system, junction, coupling, 0.8)
         assert np.array_equal(again.gamma_down, want_down)
         assert np.array_equal(again.gamma_up, want_up)
+
+
+FIG4A_BIASES = [round(0.1 * i, 1) for i in range(13)]  # mV
+
+
+class TestBatchedIntegrals:
+    """Detailed balance holds term by term, I(-t) = e^(-beta t) I(t), so a
+    batch integrates each distinct |s| once, and a whole bias grid is one
+    batch."""
+
+    def test_rate_tables_equal_single_tables(self, system, junction, coupling):
+        tables = rate_tables(system, junction, coupling, FIG4A_BIASES)
+        assert [table.v for table in tables] == FIG4A_BIASES
+        for v, table in zip(FIG4A_BIASES, tables):
+            alone = transition_rates(system, junction, coupling, v)
+            assert alone.v == table.v
+            for name in ("omegas", "gamma_down", "gamma_up"):
+                assert np.array_equal(getattr(table, name), getattr(alone, name))
+
+    def test_rejects_a_bias_that_is_not_one_voltage(self, system, junction, coupling):
+        with pytest.raises(ValueError, match="biases must be a 1-d sequence"):
+            transition_rates(system, junction, coupling, [0.1, 0.2])
+        with pytest.raises(ValueError, match="bias v must be finite, got nan"):
+            rate_tables(system, junction, coupling, [0.1, math.nan])
+        assert rate_tables(system, junction, coupling, []) == []
 
 
 class TestEffectiveTemperature:
