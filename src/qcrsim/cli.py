@@ -334,6 +334,7 @@ def stage_otto(
         result.work * AJ_PER_GHZ,
         result.eta,
     ]
+    at = result.limit_cycle_at
     comments = [
         f"eta_limit = {_fmt(result.eta_limit)}",
         f"eta_c = {_fmt(result.eta_carnot)}",
@@ -341,6 +342,7 @@ def stage_otto(
         f"T_h_K = {_fmt(result.t_hot)}",
         f"T_c_K = {_fmt(result.t_cold)}",
         f"limit_cycle_reached = {str(bool(result.limit_cycle_reached)).lower()}",
+        f"limit_cycle_at = {'none' if at is None else at + 1}",
     ]
     path = write_csv(
         outdir / name,
@@ -600,8 +602,8 @@ def cmd_otto(args) -> int:
     path, result = stage_otto(cfg, outdir, spec)
     print(path)
     print(
-        f"eta_limit={result.eta_limit:.4f} eta_c={result.eta_carnot:.4f} "
-        f"eta_f={result.eta_frequency:.4f}"
+        f"eta_limit={result.eta_limit:.4f} (limit cycle) "
+        f"eta_c={result.eta_carnot:.4f} eta_f={result.eta_frequency:.4f}"
     )
     return 0
 

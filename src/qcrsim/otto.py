@@ -7,10 +7,12 @@ One cycle of the working medium (the transmon ladder):
   (iii) isochoric cool:  bias inside the gap (v_cold) at omega_min
   (iv)  adiabat:         omega_min -> omega_max, populations frozen
 
-Each isochore is one exact step of the Lindblad machinery; adiabats are
-ideal population-preserving frequency rescalings.  Heat counts positive
-into the medium, work positive when extracted; energies are in GHz*h
-units.
+The medium starts diagonal, the Hamiltonian is diagonal and the jumps
+are pure ladder jumps, so the state stays diagonal: each isochore is one
+exact column-stochastic map exp(Q t_isochore) on the populations, and
+the adiabats are ideal population-preserving frequency rescalings.  Heat
+counts positive into the medium, work positive when extracted; energies
+are in GHz*h units.
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import evolve_constant, steady_state_from_rates, trace_distance
+from .dynamics import _expm_metzler, _ladder_blocks, steady_state_from_rates
 from .qcr import CouplingSpec, JunctionSpec, effective_temperature, transition_rates
-from .system import SystemSpec, TransmonSpec, transmon_energies
+from .system import SystemSpec, transmon_energies
 
 LIMIT_CYCLE_TOL = 1e-6
 
@@ -57,8 +59,9 @@ class OttoSpec:
             raise ValueError(
                 f"t_isochore must be positive and finite, got {self.t_isochore}"
             )
-        if not isinstance(self.n_cycles, (int, np.integer)) or self.n_cycles < 1:
-            raise ValueError(f"n_cycles must be an integer >= 1, got {self.n_cycles}")
+        n = self.n_cycles
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise ValueError(f"n_cycles must be an integer >= 1, got {n}")
 
 
 @dataclass(frozen=True)
@@ -69,7 +72,13 @@ class OttoResult:
     work extracted over both adiabats; d_energy: medium energy change
     over the full cycle, so q_hot + q_cold - work - d_energy = 0 to
     machine precision every cycle and d_energy -> 0 at the limit cycle.
-    eta is work/q_hot per cycle.
+    eta is work/q_hot per cycle; cycle_distance is (1/2)||p_end - p_start||_1
+    over each cycle, the trace distance of the diagonal states.
+    eta_limit is the efficiency of the limit cycle itself, the fixed
+    point p* of the one-cycle map, however many cycles ran;
+    limit_cycle_at is the first cycle (from 0) run on the limit cycle: it
+    starts, and so also ends, within LIMIT_CYCLE_TOL of p* in
+    (1/2)||p - p*||_1.
     """
 
     q_hot: np.ndarray
@@ -84,11 +93,8 @@ class OttoResult:
     eta_frequency: float
     limit_cycle_reached: bool
     limit_cycle_at: int | None
+    eta_limit: float
     final_populations: np.ndarray
-
-    @property
-    def eta_limit(self) -> float:
-        return float(self.eta[-1])
 
 
 def frequency_efficiency(spec: OttoSpec) -> float:
@@ -96,9 +102,13 @@ def frequency_efficiency(spec: OttoSpec) -> float:
     return 1.0 - spec.omega_min / spec.omega_max
 
 
-def ladder_energy(populations, transmon: TransmonSpec) -> float:
-    """Mean ladder energy sum_n p_n E_n in GHz*h units."""
-    return float(np.asarray(populations) @ transmon_energies(transmon))
+def _minus_identity(m: np.ndarray) -> np.ndarray:
+    """m - I for a column-stochastic m, with each diagonal entry taken as
+    minus its column's off-diagonal sum (as Grassmann-Taksar-Heyman state
+    reduction does): nothing cancels, however close m is to I."""
+    out = m - np.diag(m.diagonal())
+    np.fill_diagonal(out, -out.sum(axis=0))
+    return out
 
 
 def run_cycle(
@@ -111,10 +121,12 @@ def run_cycle(
 
     The medium starts in the cold-bath stationary state (the steady state
     at v_cold and omega_min), which makes the limit cycle typically a
-    one-to-two-cycle affair.  Each isochore is one exact propagation step
-    of length t_isochore under its bath's rate table, built once.  Bath
-    temperatures quoted are the m=0-transition effective temperatures at
-    the respective stroke frequency and bias.
+    one-to-two-cycle affair.  Each bath's rate table and isochore map
+    exp(Q t_isochore) are built once, and every cycle is two products of
+    a map with the population vector.  The limit cycle is solved for
+    exactly as the fixed point of the one-cycle map.  Bath temperatures
+    quoted are the m=0-transition effective temperatures at the
+    respective stroke frequency and bias.
     """
     if spec.v_hot <= junction.delta:
         raise ValueError(
@@ -143,68 +155,51 @@ def run_cycle(
     eta_c = 1.0 - t_cold / t_hot if math.isfinite(t_hot) and t_hot > 0 else math.nan
 
     e_hot, e_cold = transmon_energies(hot_medium), transmon_energies(cold_medium)
-    h_hot, h_cold = np.diag(e_hot), np.diag(e_cold)
-    rho = steady_state_from_rates(h_cold, rates_cold)
+    h_cold = np.diag(e_cold)
+    t = spec.t_isochore
+    hot_map = _expm_metzler(_ladder_blocks(np.diag(e_hot), rates_hot)[0] * t)
+    cold_map = _expm_metzler(_ladder_blocks(h_cold, rates_cold)[0] * t)
 
-    def isochore(state, h, rates, medium):
-        t = spec.t_isochore
-        return evolve_constant(state, h, rates, dt=t, t_end=t, transmon=medium).final
+    # Limit cycle: p* = cold_map @ hot_map @ p*, normalised by a row of
+    # ones.  At p* the cold stroke undoes the hot stroke's population
+    # change, so q_c* = -e_cold . (hot_map - I) p*.
+    cycle = _minus_identity(cold_map @ hot_map)
+    cycle[0] = 1.0
+    p_star = np.linalg.solve(cycle, np.eye(len(e_hot))[0])
+    flow = _minus_identity(hot_map) @ p_star
+    q_hot_limit = e_hot @ flow
+    eta_limit = 1.0 - (e_cold @ flow) / q_hot_limit if q_hot_limit > 0 else math.nan
 
-    n = spec.n_cycles
-    q_hot = np.empty(n)
-    q_cold = np.empty(n)
-    work = np.empty(n)
-    d_energy = np.empty(n)
-    eta = np.full(n, math.nan)
-    distance = np.empty(n)
-    limit_at = None
-
-    for c in range(n):
-        start = rho
-        p_a = start.populations()
-        e_a_hot = p_a @ e_hot
-
-        # (i) hot isochore at omega_max
-        rho = isochore(rho, h_hot, rates_hot, hot_medium)
-        p_b = rho.populations()
-        e_b_hot = p_b @ e_hot
-        q_hot[c] = e_b_hot - e_a_hot
-
-        # (ii) adiabat down: populations frozen, spectrum rescaled
-        e_b_cold = p_b @ e_cold
-        w_out = e_b_hot - e_b_cold
-
-        # (iii) cold isochore at omega_min
-        rho = isochore(rho, h_cold, rates_cold, cold_medium)
-        p_c = rho.populations()
-        e_c_cold = p_c @ e_cold
-        q_cold[c] = e_c_cold - e_b_cold
-
-        # (iv) adiabat up
-        e_c_hot = p_c @ e_hot
-        w_in = e_c_hot - e_c_cold
-
-        work[c] = w_out - w_in
-        d_energy[c] = e_c_hot - e_a_hot
-        if q_hot[c] > 0:
-            eta[c] = work[c] / q_hot[c]
-
-        distance[c] = trace_distance(rho, start)
-        if limit_at is None and distance[c] < LIMIT_CYCLE_TOL:
-            limit_at = c
+    # Populations at the start of each cycle and after its last (starts),
+    # and after each hot stroke (p_b); the adiabats leave them unchanged.
+    starts = [steady_state_from_rates(h_cold, rates_cold).populations()]
+    p_b = []
+    for _ in range(spec.n_cycles):
+        p_b.append(hot_map @ starts[-1])
+        starts.append(cold_map @ p_b[-1])
+    starts, p_b = np.array(starts), np.array(p_b)
+    p_a, p_c = starts[:-1], starts[1:]
+    e_a_hot, e_b_hot, e_b_cold = p_a @ e_hot, p_b @ e_hot, p_b @ e_cold
+    e_c_cold, e_c_hot = p_c @ e_cold, p_c @ e_hot
+    q_hot = e_b_hot - e_a_hot
+    work = (e_b_hot - e_b_cold) - (e_c_hot - e_c_cold)
+    eta = np.divide(work, q_hot, out=np.full(q_hot.size, math.nan), where=q_hot > 0)
+    on_limit = 0.5 * np.abs(p_a - p_star).sum(axis=1) < LIMIT_CYCLE_TOL
+    limit_at = int(np.argmax(on_limit)) if on_limit.any() else None
 
     return OttoResult(
         q_hot=q_hot,
-        q_cold=q_cold,
+        q_cold=e_c_cold - e_b_cold,
         work=work,
-        d_energy=d_energy,
+        d_energy=e_c_hot - e_a_hot,
         eta=eta,
-        cycle_distance=distance,
+        cycle_distance=0.5 * np.abs(p_c - p_a).sum(axis=1),
         t_hot=t_hot,
         t_cold=t_cold,
         eta_carnot=eta_c,
         eta_frequency=frequency_efficiency(spec),
         limit_cycle_reached=limit_at is not None,
         limit_cycle_at=limit_at,
-        final_populations=rho.populations(),
+        eta_limit=eta_limit,
+        final_populations=p_c[-1],
     )

@@ -370,7 +370,7 @@ class TestFitAndThermo:
 
 
 class TestOtto:
-    def test_csv_and_summary(self, tmp_path):
+    def test_csv_and_summary(self, tmp_path, capsys):
         assert main(
             ["otto", "--n-cycles", "3", "--outdir", str(tmp_path)]
         ) == 0
@@ -381,6 +381,17 @@ class TestOtto:
         summary = dict(c.split(" = ") for c in comments)
         assert 0 < float(summary["eta_limit"]) < float(summary["eta_c"]) < 1
         assert summary["limit_cycle_reached"] == "true"
+        assert summary["limit_cycle_at"] == "2"  # the cycle column's numbering
+        assert "eta_limit=0.3038 (limit cycle)" in capsys.readouterr().out
+
+    def test_limit_named_before_it_is_reached(self, tmp_path, capsys):
+        argv = ["otto", "--t-isochore", "200", "--outdir", str(tmp_path)]
+        assert main(argv) == 0
+        assert "eta_limit=0.3062 (limit cycle)" in capsys.readouterr().out
+        _, _, comments = read_rows(tmp_path / "otto.csv")
+        summary = dict(c.split(" = ") for c in comments)
+        assert summary["limit_cycle_reached"] == "false"
+        assert summary["limit_cycle_at"] == "none"
 
     def test_flags_default_to_otto_spec(self):
         args = build_parser().parse_args(["otto"])

@@ -42,7 +42,7 @@ GOLDEN = {
     ("full", "rates.csv"): "e317dcab756336de641998b7d5592fa3f080b3967fe324ae6107cccf40d5bdf5",
     ("full", "shots.csv"): "fd0323e123881ea203d3adbf05effcb2b102f8046b5988e332cfc23c50c85c78",
     ("full", "thermo.csv"): "2c47a190784ef9e6a9ca3520b745ff68abed7d3448e5523ed64ad1c4e762e5cc",
-    ("otto-demo", "otto.csv"): "002291dfafca4c4c623c695ed1589769b13d64bbfa723cfc62776ea41159d019",
+    ("otto-demo", "otto.csv"): "463a12b022f4c6dc13229975782bb245f7fa5e5fbf911817b56e823d13582bd0",
 }
 
 

@@ -175,6 +175,10 @@ CASES = {
         lambda: qcrsim.OttoSpec(n_cycles=2.5),
         "n_cycles must be an integer >= 1, got 2.5",
     ),
+    "OttoSpec-n_cycles-bool": (
+        lambda: qcrsim.OttoSpec(n_cycles=True),
+        "n_cycles must be an integer >= 1, got True",
+    ),
     "evolve-sample_every-float": (
         lambda: _evolve(dt=0.1, sample_every=2.5),
         "sample_every must be an integer >= 1, got 2.5",

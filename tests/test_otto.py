@@ -7,12 +7,16 @@ from numpy.testing import assert_allclose
 
 from qcrsim import otto
 from qcrsim.otto import (
+    LIMIT_CYCLE_TOL,
     OttoSpec,
     frequency_efficiency,
-    ladder_energy,
     run_cycle,
 )
-from qcrsim.dynamics import two_level_relaxation
+from qcrsim.dynamics import (
+    evolve_constant,
+    steady_state_from_rates,
+    two_level_relaxation,
+)
 from qcrsim.qcr import transition_rates
 from qcrsim.system import SystemSpec, TransmonSpec, transmon_energies
 
@@ -63,12 +67,6 @@ def test_frequency_efficiency_value():
     assert frequency_efficiency(spec) == pytest.approx(1.0 - 3.0 / 4.09)
 
 
-def test_ladder_energy_is_population_weighted(transmon):
-    p = np.array([0.5, 0.3, 0.1, 0.06, 0.03, 0.01])
-    expected = float(p @ transmon_energies(transmon))
-    assert ladder_energy(p, transmon) == pytest.approx(expected, rel=1e-12)
-
-
 class TestBiasWindows:
     def test_hot_stroke_must_heat(self, system, junction, coupling):
         spec = OttoSpec(v_hot=0.1)  # below the gap: not a hot bath
@@ -94,6 +92,7 @@ class TestSixLevelEngine:
 
     def test_reaches_limit_cycle(self, result):
         assert result.limit_cycle_reached
+        assert result.limit_cycle_at == 1
         assert result.cycle_distance[-1] < 1e-6
         assert abs(result.d_energy[-1]) < 1e-9
 
@@ -161,6 +160,79 @@ def test_two_level_isochores_match_closed_form(junction, coupling):
     assert_allclose(result.final_populations, [1.0 - p, p], rtol=1e-12)
     balance = result.q_hot + result.q_cold - result.work - result.d_energy
     assert np.abs(balance).max() < 1e-12 * np.abs(result.q_hot).max()
+
+
+@pytest.mark.parametrize("t_isochore", [1e-9, 1e-3, 1.0, 200.0, 2e4, 1e9])
+def test_two_level_limit_is_frequency_efficiency_at_any_contact_time(
+    t_isochore, junction, coupling
+):
+    """A qubit's limit cycle moves one population between the strokes, so
+    its efficiency is 1 - omega_min/omega_max whatever t_isochore; short
+    isochores leave maps within 1e-12 of I, where a naive P - I cancels."""
+    spec = OttoSpec(t_isochore=t_isochore, n_cycles=1)
+    result = run_cycle(spec, two_level_system(), junction, coupling)
+    assert result.eta_limit == pytest.approx(frequency_efficiency(spec), rel=1e-10)
+
+
+def test_eta_limit_is_the_limit_of_iterated_cycles(system, junction, coupling):
+    """At 200 ns the medium is 16 cycles from its limit cycle: eta_limit
+    is that cycle's efficiency, not the last one run."""
+    short = run_cycle(OttoSpec(t_isochore=200.0), system, junction, coupling)
+    long = run_cycle(
+        OttoSpec(t_isochore=200.0, n_cycles=400), system, junction, coupling
+    )
+    assert long.limit_cycle_reached
+    assert short.eta_limit == pytest.approx(long.eta[-1], abs=1e-10)
+    assert short.eta_limit == long.eta_limit
+    assert not short.limit_cycle_reached and short.limit_cycle_at is None
+    assert short.eta[-1] < 0.1
+
+
+def test_slow_map_is_not_a_limit_cycle(system, junction, coupling):
+    """At 1e-9 ns consecutive cycles differ by 1.5e-11 but sit far from
+    the fixed point, so the limit cycle is not reached."""
+    result = run_cycle(OttoSpec(t_isochore=1e-9), system, junction, coupling)
+    assert np.all(result.cycle_distance < LIMIT_CYCLE_TOL)
+    assert not result.limit_cycle_reached
+    assert result.limit_cycle_at is None
+    assert result.eta_limit == pytest.approx(0.30615, abs=1e-5)
+    assert abs(result.eta[-1]) < 1e-3
+
+
+def reference_ledger(spec, system, junction, coupling):
+    """Q_h, Q_c, W and eta per cycle with every isochore one public
+    ``evolve_constant`` step on the full density matrix."""
+    strokes = []
+    for omega, v in ((spec.omega_max, spec.v_hot), (spec.omega_min, spec.v_cold)):
+        medium = replace(system, transmon=replace(system.transmon, omega_ge=omega))
+        energies = transmon_energies(medium.transmon)
+        table = transition_rates(medium, junction, coupling, v)
+        strokes.append((energies, np.diag(energies), table))
+    (e_hot, h_hot, hot), (e_cold, h_cold, cold) = strokes
+    t = spec.t_isochore
+    rho = steady_state_from_rates(h_cold, cold)
+    rows = []
+    for _ in range(spec.n_cycles):
+        heated = evolve_constant(rho, h_hot, hot, dt=t, t_end=t).final
+        cooled = evolve_constant(heated, h_cold, cold, dt=t, t_end=t).final
+        p_a, p_b, p_c = (s.populations() for s in (rho, heated, cooled))
+        q_hot = p_b @ e_hot - p_a @ e_hot
+        work = (p_b @ e_hot - p_b @ e_cold) - (p_c @ e_hot - p_c @ e_cold)
+        rows.append([q_hot, p_c @ e_cold - p_b @ e_cold, work, work / q_hot])
+        rho = cooled
+    return np.array(rows), rho.populations()
+
+
+@pytest.mark.parametrize("t_isochore", [20000.0, 1001.0])
+def test_ledger_matches_density_matrix_isochores(
+    t_isochore, system, junction, coupling
+):
+    spec = OttoSpec(t_isochore=t_isochore)
+    result = run_cycle(spec, system, junction, coupling)
+    rows, final = reference_ledger(spec, system, junction, coupling)
+    ledger = np.column_stack([result.q_hot, result.q_cold, result.work, result.eta])
+    assert_allclose(ledger, rows, rtol=1e-13)
+    assert_allclose(result.final_populations, final, rtol=1e-13)
 
 
 def test_deeper_compression_raises_efficiency(system, junction, coupling):
