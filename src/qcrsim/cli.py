@@ -431,9 +431,8 @@ def pipeline_fig4a(cfg: ExperimentConfig, outdir: Path, seed: int):
     with _stage("rates"):
         tables = rate_tables(system, junction, coupling, amplitudes)
     with _stage("evolve"):
-        # only the end of the pulse is read out: one sample of 1000 steps
         finals = [
-            evolve_constant(rho0, h, table, 0.1, 100.0, 1000, transmon).final
+            evolve_constant(rho0, h, table, 100.0, 100.0, transmon=transmon).final
             for table in tables
         ]
     p_true = normalize_leading([rho.populations() for rho in finals], 4)

@@ -27,6 +27,7 @@ import inspect
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
+from ._checks import integer
 from .dynamics import BiasPulse
 from .qcr import CouplingSpec, JunctionSpec
 from .readout import ReadoutModel, default_model
@@ -196,7 +197,8 @@ class ExperimentConfig:
         )
 
     def validate(self) -> "ExperimentConfig":
-        """Build every block once so invariant violations surface now."""
+        """Check run.seed and build every block once so violations surface now."""
+        self._build("run", lambda: integer("run.seed", self.values["run.seed"], 0))
         self.as_system()
         self.as_junction()
         self.as_coupling()

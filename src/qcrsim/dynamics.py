@@ -31,6 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from . import thermometry
+from ._checks import finite, integer, non_negative, positive
 from .qcr import CouplingSpec, JunctionSpec, RateTable, rate_tables, transition_rates
 from .system import SystemSpec, TransmonSpec, transmon_energies
 
@@ -97,9 +98,8 @@ class DensityMatrix:
 
     @classmethod
     def level(cls, n: int, spec: TransmonSpec) -> "DensityMatrix":
-        """Ladder eigenstate |n><n|."""
-        if not 0 <= n < spec.n_levels:
-            raise ValueError(f"level {n} outside ladder of {spec.n_levels} states")
+        """Ladder eigenstate |n><n| for an integer n in [0, n_levels)."""
+        integer("level n", n, 0, spec.n_levels - 1)
         p = np.zeros(spec.n_levels)
         p[n] = 1.0
         return cls.from_populations(p)
@@ -148,23 +148,15 @@ class BiasPulse:
     period: float = 10.0
 
     def __post_init__(self):
-        if not math.isfinite(self.dc_offset):
-            raise ValueError(f"dc_offset must be finite, got {self.dc_offset}")
-        if not 0 <= self.duration < math.inf:
-            raise ValueError(
-                f"duration must be non-negative and finite, got {self.duration}"
-            )
-        if not 0 < self.period < math.inf:
-            raise ValueError(f"period must be positive and finite, got {self.period}")
-        if not 0 <= self.amplitude < math.inf:
-            raise ValueError(
-                f"amplitude must be non-negative and finite, got {self.amplitude}"
-            )
+        finite("dc_offset", self.dc_offset)
+        non_negative("duration", self.duration)
+        positive("period", self.period)
+        non_negative("amplitude", self.amplitude)
         if self.amplitude > 0 and self.duration > 0:
             cycles = self.duration / self.period
             if abs(cycles - round(cycles)) > 1e-9:
                 raise ValueError(
-                    "duration must be an integer number of periods so the ac "
+                    "duration must span a whole number of periods so the ac "
                     f"part cancels; got duration/period = {cycles}"
                 )
 
@@ -175,9 +167,7 @@ def pulse_voltage(pulse: BiasPulse, t):
     Vectorized over t.  Edges are ideal steps.  Raises ValueError for a
     NaN or infinite t.
     """
-    t = np.asarray(t, dtype=float)
-    if not np.isfinite(t).all():
-        raise ValueError(f"time t must be finite, got {t[~np.isfinite(t)][0]}")
+    t = finite("time t", t)
     phase = np.mod(t, pulse.period)
     square = np.where(phase < 0.5 * pulse.period, pulse.amplitude, -pulse.amplitude)
     v = np.where(
@@ -323,18 +313,22 @@ class Trajectory:
     """Sampled populations along one integration run.
 
     times in ns; populations has one row per sample and one column per
-    ladder state; final is the end-of-run density matrix.
+    ladder state; final is the end-of-run density matrix; transmon is the
+    ladder the run was given, or None.
     """
 
     times: np.ndarray
     populations: np.ndarray
     final: DensityMatrix
-    transmon: TransmonSpec
+    transmon: TransmonSpec | None
     states: np.ndarray | None = field(default=None, repr=False)
 
     @cached_property
     def temperatures(self) -> np.ndarray:
-        """Per-sample Gibbs-fit temperature (K); NaN where non-thermal."""
+        """Per-sample Gibbs-fit temperature (K); NaN where non-thermal.
+        Raises ValueError, naming transmon, when the run had no ladder."""
+        if self.transmon is None:
+            raise ValueError("transmon is None: no ladder to fit temperatures to")
         p = self.populations[:, :4]
         return thermometry.fit_gibbs(p, self.transmon).temperature
 
@@ -346,9 +340,8 @@ def _snap(steps: float):
 
 
 def _n_steps(t_end: float, dt: float, sample_every) -> int:
-    for name, value in (("dt", dt), ("t_end", t_end)):
-        if not 0 < value < math.inf:
-            raise ValueError(f"{name} must be positive and finite, got {value}")
+    positive("dt", dt)
+    positive("t_end", t_end)
     steps = _snap(t_end / dt)
     if not isinstance(steps, int):
         raise ValueError(f"dt={dt} must evenly divide t_end={t_end}")
@@ -357,8 +350,7 @@ def _n_steps(t_end: float, dt: float, sample_every) -> int:
 
 
 def _check_sampling(n_steps: int, sample_every) -> None:
-    if not isinstance(sample_every, (int, np.integer)) or sample_every < 1:
-        raise ValueError(f"sample_every must be an integer >= 1, got {sample_every}")
+    integer("sample_every", sample_every, 1)
     if n_steps % sample_every:
         raise ValueError("sample_every must divide the number of steps")
 
@@ -444,12 +436,11 @@ def _propagate_stretches(
         k = int(np.argmin(min_eigs))
         raise IntegratorError(f"negative eigenvalue {min_eigs[k]:.3e} {at(k)}")
 
-    trans = transmon if transmon is not None else TransmonSpec(n_levels=d)
     return Trajectory(
         times=times,
         populations=rhos.diagonal(axis1=1, axis2=2).real.copy(),
         final=DensityMatrix(rho, validate=False),
-        transmon=trans,
+        transmon=transmon,
         states=rhos if keep_states else None,
     )
 
@@ -471,12 +462,14 @@ def propagate(
     ``generators[seg_ids[i]]`` and every ``sample_every``-th step is
     recorded after the initial state in row 0, solved and checked as in
     ``evolve``.  ``hamiltonian`` is not read: the generators carry it.
+    ``transmon`` is the ladder that ``Trajectory.temperatures`` fits.
     """
     blocks = [split_generator(g) for g in generators]
     seg_ids = np.asarray(seg_ids, dtype=np.int64)
     if seg_ids.size and (seg_ids.min() < 0 or seg_ids.max() >= len(blocks)):
         raise ValueError("segment index out of range")
     stretches = [(k, i, i + 1) for i, k in enumerate(seg_ids.tolist())]
+    positive("dt", dt)
     _check_sampling(len(stretches), sample_every)
     return _propagate_stretches(
         rho0, blocks, stretches, dt, sample_every, transmon, keep_states
@@ -543,7 +536,7 @@ def evolve_constant(
     """Propagate under a single fixed rate table (no pulse bookkeeping).
 
     ``hamiltonian`` must be diagonal and sized for the rates; dt and
-    t_end as for ``evolve``.
+    t_end as for ``evolve``, ``transmon`` as for ``propagate``.
     """
     stretches = [(0, 0, _n_steps(t_end, dt, sample_every))]
     blocks = [_ladder_blocks(hamiltonian, rates)]
@@ -610,16 +603,13 @@ def two_level_relaxation(
     a positive sum, p_e0 is in [0, 1] and every t is finite (so NaN
     nowhere).
     """
-    for name, rate in (("gamma_down", gamma_down), ("gamma_up", gamma_up)):
-        if not 0 <= rate < math.inf:
-            raise ValueError(f"{name} must be non-negative and finite, got {rate}")
+    non_negative("gamma_down", gamma_down)
+    non_negative("gamma_up", gamma_up)
     if gamma_down + gamma_up == 0:
         raise ValueError("gamma_down + gamma_up must be positive, got 0 and 0")
     if not 0 <= p_e0 <= 1:
         raise ValueError(f"p_e0 must be in [0, 1], got {p_e0}")
-    t = np.asarray(t, dtype=float)
-    if not np.isfinite(t).all():
-        raise ValueError(f"time t must be finite, got {t[~np.isfinite(t)][0]}")
+    t = finite("time t", t)
     total = gamma_down + gamma_up
     p_inf = gamma_up / total
     return p_inf + (p_e0 - p_inf) * np.exp(-total * t)

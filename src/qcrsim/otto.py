@@ -22,6 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._checks import finite, integer, positive
 from .dynamics import _expm_metzler, _ladder_blocks, steady_state_from_rates
 from .qcr import CouplingSpec, JunctionSpec, effective_temperature, transition_rates
 from .system import SystemSpec, transmon_energies
@@ -52,16 +53,10 @@ class OttoSpec:
                 "need 0 < omega_min < omega_max < inf, got "
                 f"{self.omega_min}, {self.omega_max}"
             )
-        for name in ("v_hot", "v_cold"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if not 0 < self.t_isochore < math.inf:
-            raise ValueError(
-                f"t_isochore must be positive and finite, got {self.t_isochore}"
-            )
-        n = self.n_cycles
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-            raise ValueError(f"n_cycles must be an integer >= 1, got {n}")
+        finite("v_hot", self.v_hot)
+        finite("v_cold", self.v_cold)
+        positive("t_isochore", self.t_isochore)
+        integer("n_cycles", self.n_cycles, 1)
 
 
 @dataclass(frozen=True)

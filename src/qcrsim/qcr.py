@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import finite, positive
 from .constants import H_MEV_PER_GHZ, H_OVER_KB, KB_MEV_PER_K
 from .system import SystemSpec, transition_frequencies
 
@@ -69,12 +70,10 @@ class JunctionSpec:
     t_n: float = 0.1
 
     def __post_init__(self):
-        if not 0.0 < self.delta < math.inf:
-            raise ValueError(f"delta must be positive and finite, got {self.delta}")
+        positive("delta", self.delta)
         if not 0.0 < self.gamma_d < 1.0:
             raise ValueError(f"gamma_d must lie in (0, 1), got {self.gamma_d}")
-        if not 0.0 < self.t_n < math.inf:
-            raise ValueError(f"t_n must be positive and finite, got {self.t_n}")
+        positive("t_n", self.t_n)
 
 
 @dataclass(frozen=True)
@@ -90,10 +89,7 @@ class CouplingSpec:
     purcell_filter: bool = True
 
     def __post_init__(self):
-        if not 0.0 < self.kappa_eff < math.inf:
-            raise ValueError(
-                f"kappa_eff must be positive and finite, got {self.kappa_eff}"
-            )
+        positive("kappa_eff", self.kappa_eff)
 
 
 @dataclass(frozen=True)
@@ -257,14 +253,6 @@ def _knots(centres: np.ndarray, beta: float, gamma_d: float) -> list[np.ndarray]
     return [row[k] for row, k in zip(points, keep)]
 
 
-def _finite(name: str, value) -> np.ndarray:
-    values = np.asarray(value, dtype=float)
-    if not np.isfinite(values).all():
-        bad = values[~np.isfinite(values)][0]
-        raise ValueError(f"{name} must be finite, got {bad}")
-    return values
-
-
 def tunnel_spectral_fn(e, v, junction: JunctionSpec):
     """Normalized golden-rule spectral function F(E, V) of the junction.
 
@@ -315,7 +303,7 @@ def tunnel_spectral_fn(e, v, junction: JunctionSpec):
     in any batch.
     """
     energies, volts = np.broadcast_arrays(
-        _finite("photon energy e", e), _finite("bias v", v)
+        finite("photon energy e", e), finite("bias v", v)
     )
     beta = junction.delta / (KB_MEV_PER_K * junction.t_n)  # gap / thermal energy
     # kernel centres, two per element: s = (E + e|V|)/Delta, (E - e|V|)/Delta
@@ -384,7 +372,7 @@ def rate_tables(
     these rates assume.
     """
     system.validate()
-    volts = np.abs(_finite("bias v", biases))
+    volts = np.abs(finite("bias v", biases))
     if volts.ndim != 1:
         raise ValueError(f"biases must be a 1-d sequence, got shape {volts.shape}")
     omegas = transition_frequencies(system.transmon)
@@ -422,9 +410,9 @@ def effective_temperature(gamma_down: float, gamma_up: float, omega: float) -> f
     description, and the sign carries that flag.  Raises ValueError
     naming an argument that is NaN or infinite.
     """
-    _finite("gamma_down", gamma_down)
-    _finite("gamma_up", gamma_up)
-    _finite("omega", omega)
+    finite("gamma_down", gamma_down)
+    finite("gamma_up", gamma_up)
+    finite("omega", omega)
     if gamma_down < 0 or gamma_up < 0 or gamma_down + gamma_up == 0:
         raise ValueError("need non-negative rates, at least one positive")
     if omega <= 0:

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._checks import integer, positive
 from .seeding import named_rng
 
 STATE_LABELS = ("g", "e", "f", "h")
@@ -70,10 +71,9 @@ def default_model(
     ``separation`` sigma apart, isotropic covariance sigma^2, and the
     h-state cloud broadened by ``h_scale``.
     """
-    named = {"separation": separation, "sigma": sigma, "h_scale": h_scale}
-    for name, value in named.items():
-        if not 0 < value < math.inf:
-            raise ValueError(f"{name} must be positive and finite, got {value}")
+    positive("separation", separation)
+    positive("sigma", sigma)
+    positive("h_scale", h_scale)
     radius = separation * sigma / math.sqrt(2.0)
     angles = np.deg2rad([0.0, 90.0, 180.0, 270.0])
     means = radius * np.column_stack([np.cos(angles), np.sin(angles)])
@@ -98,13 +98,6 @@ def _as_populations(populations, k: int, table: bool = False) -> np.ndarray:
     return p
 
 
-def _check_n_shots(n_shots) -> None:
-    if isinstance(n_shots, bool) or not isinstance(n_shots, (int, np.integer)):
-        raise ValueError(f"n_shots must be an integer, got {n_shots!r}")
-    if n_shots < 1:
-        raise ValueError(f"n_shots must be positive, got {n_shots}")
-
-
 def synthesize_shots(
     populations,
     model: ReadoutModel,
@@ -124,7 +117,7 @@ def synthesize_shots(
     and ``n_shots`` is a positive integer (bool excluded).
     """
     p = _as_populations(populations, model.n_components)
-    _check_n_shots(n_shots)
+    integer("n_shots", n_shots, 1)
 
     rng = named_rng(seed, "shots")
     states = rng.choice(model.n_components, size=n_shots, p=p / p.sum())
@@ -648,7 +641,7 @@ def correct_counts(counts, n_shots, model) -> PopulationEstimate:
         raise ValueError(f"counts must be (k,) or (m, k) with k = {k}, got {counts.shape}")
     if not np.isfinite(counts).all() or counts.min() < 0:
         raise ValueError(f"counts {counts.tolist()} must be finite and non-negative")
-    _check_n_shots(n_shots)
+    integer("n_shots", n_shots, 1)
     if counts.max() > n_shots:
         first = np.argwhere(counts > n_shots)[0]
         where = f" in row {first[0]}" if counts.ndim == 2 else ""
@@ -707,7 +700,7 @@ def sample_estimate(
     SingularCorrectionError as ``correct_counts`` does.
     """
     p = _as_populations(populations, model.n_components, table=True)
-    _check_n_shots(n_shots)
+    integer("n_shots", n_shots, 1)
     _check_disjoint(model)
     m = correction_matrix(model)
     rows = np.atleast_2d(p)

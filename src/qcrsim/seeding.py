@@ -13,6 +13,8 @@ import hashlib
 
 from numpy.random import Generator, SeedSequence, default_rng
 
+from ._checks import integer
+
 
 def stream_key(name: str) -> tuple[int, ...]:
     """Stable 128-bit key for a stream name (first 16 sha256 bytes)."""
@@ -23,6 +25,10 @@ def stream_key(name: str) -> tuple[int, ...]:
 
 
 def named_rng(root_seed: int, name: str, *indices: int) -> Generator:
-    """Generator for the sub-stream ``name`` (plus optional chunk indices)."""
-    entropy = (int(root_seed),) + stream_key(name) + tuple(int(i) for i in indices)
+    """Generator for the sub-stream ``name`` (plus optional chunk indices).
+    Raises ValueError, naming the seed, unless ``root_seed`` is a
+    non-negative integer (bool excluded); every stream inherits the check.
+    """
+    root = integer("seed", root_seed, 0)
+    entropy = (root,) + stream_key(name) + tuple(int(i) for i in indices)
     return default_rng(SeedSequence(entropy))

@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._checks import integer, positive
+
 # Most ladder states a transmon may keep, so that an oversized ladder
 # fails validation instead of an allocation.
 MAX_LEVELS = 256
@@ -42,14 +44,10 @@ class TransmonSpec:
     n_levels: int = 6
 
     def __post_init__(self):
-        if not 0 < self.omega_ge < math.inf:
-            raise ValueError(
-                f"omega_ge must be positive and finite, got {self.omega_ge}"
-            )
+        positive("omega_ge", self.omega_ge)
         if not -math.inf < self.alpha < 0:
             raise ValueError(f"alpha must be negative and finite, got {self.alpha}")
-        if not isinstance(self.n_levels, (int, np.integer)) or self.n_levels < 2:
-            raise ValueError(f"n_levels must be an integer >= 2, got {self.n_levels}")
+        integer("n_levels", self.n_levels, 2)
 
 
 @dataclass(frozen=True)
@@ -68,10 +66,8 @@ class ResonatorSpec:
     g: float = 0.0596
 
     def __post_init__(self):
-        if not 0 < self.omega < math.inf:
-            raise ValueError(f"omega must be positive and finite, got {self.omega}")
-        if not 0 < self.g < math.inf:
-            raise ValueError(f"coupling g must be positive and finite, got {self.g}")
+        positive("omega", self.omega)
+        positive("coupling g", self.g)
 
     def dispersive_ratio(self, omega_m: float) -> float:
         """|g| / |omega - omega_m| at a transmon transition omega_m; small

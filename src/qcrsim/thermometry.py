@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import finite, integer, positive
 from .constants import H_OVER_KB
 from .system import TransmonSpec, transmon_energies
 
@@ -43,15 +44,9 @@ def gibbs_populations(
     truncation : int, optional
         Number of states kept (default: spec.n_levels).
     """
-    if not 0 < temperature < math.inf:
-        raise ValueError(
-            f"temperature must be positive and finite, got {temperature}"
-        )
+    positive("temperature", temperature)
     n = spec.n_levels if truncation is None else truncation
-    if not isinstance(n, (int, np.integer)) or not 2 <= n <= spec.n_levels:
-        raise ValueError(
-            f"truncation must be an integer in [2, {spec.n_levels}], got {n}"
-        )
+    integer("truncation", n, 2, spec.n_levels)
     e = transmon_energies(spec)[:n]
     # subtract the ground energy (0 by construction) for overflow safety
     p = np.exp(-H_OVER_KB * e / temperature)
@@ -63,13 +58,8 @@ def normalize_leading(p, k: int = 4) -> np.ndarray:
     each row of a table, to sum 1.  Raises ValueError for a NaN or
     infinite entry among the first k."""
     p = np.asarray(p, dtype=float)
-    if not isinstance(k, (int, np.integer)) or not 1 <= k <= p.shape[-1]:
-        raise ValueError(f"k must be an integer in [1, {p.shape[-1]}], got {k}")
-    lead = p[..., :k]
-    if not np.isfinite(lead).all():
-        raise ValueError(
-            f"populations p must be finite, got {lead[~np.isfinite(lead)][0]}"
-        )
+    integer("k", k, 1, p.shape[-1])
+    lead = finite("populations p", p[..., :k])
     total = lead.sum(axis=-1, keepdims=True)
     if (total <= 0).any():
         raise ValueError("leading populations sum to zero")
@@ -370,13 +360,9 @@ def heating_slope(voltages, temps, v_min: float) -> float:
     Raises ValueError, naming the argument, for a NaN or infinite entry
     of ``voltages`` or ``temps``.
     """
-    v = np.asarray(voltages, dtype=float)
-    y = np.asarray(temps, dtype=float)
+    v, y = finite("voltages", voltages), finite("temps", temps)
     if v.shape != y.shape or v.ndim != 1:
         raise ValueError("voltages and temps must be 1-d arrays of equal length")
-    for name, x in (("voltages", v), ("temps", y)):
-        if not np.isfinite(x).all():
-            raise ValueError(f"{name} must be finite, got {x[~np.isfinite(x)][0]}")
     mask = v > v_min
     if mask.sum() < 3:
         raise ValueError(

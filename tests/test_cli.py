@@ -499,6 +499,21 @@ class TestPipelines:
         assert "at least 4 levels" in err
         assert not list((tmp_path / "out").glob("*.csv"))
 
+    @pytest.mark.parametrize("preset", ["fig4a", "otto-demo"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_negative_seed_exits_2_before_any_file(
+        self, tmp_path, capsys, preset, source
+    ):
+        cfg = tmp_path / "seed.cfg"
+        cfg.write_text("run.seed = -1\n" if source == "config" else "")
+        argv = ["pipeline", preset, "--config", str(cfg)]
+        argv += ["--seed", "-1"] if source == "flag" else []
+        out = tmp_path / "out"
+        assert main(argv + ["--outdir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "run.seed must be an integer >= 0, got -1" in err
+        assert not out.exists()
+
     def test_otto_demo_runs_on_three_levels(self, tmp_path):
         cfg = tmp_path / "three.cfg"
         cfg.write_text("transmon.n_levels = 3\n")

@@ -332,6 +332,18 @@ class TestEvolve:
         assert traj.temperatures[0] == pytest.approx(0.11, abs=1e-6)
         assert traj.temperatures[-1] > 0.4
 
+    def test_temperatures_fit_the_given_ladder_only(self):
+        """A run that is not given its ladder cannot fit temperatures;
+        given the 3 GHz ladder, its 0.2 K Gibbs state reads 0.2 K."""
+        ladder = TransmonSpec(omega_ge=3.0)
+        h, table = ladder_table([0.03] * 5, [0.01] * 5)
+        rho0 = DensityMatrix.gibbs(0.2, ladder)
+        bare = evolve_constant(rho0, h, table, dt=1.0, t_end=1.0)
+        with pytest.raises(ValueError, match="transmon is None"):
+            bare.temperatures
+        traj = evolve_constant(rho0, h, table, dt=1.0, t_end=1.0, transmon=ladder)
+        assert traj.temperatures[0] == pytest.approx(0.2, rel=1e-9)
+
     def test_inverted_population_flagged_non_thermal(self):
         h = np.diag(transmon_energies(TWO_LEVEL))
         traj = evolve_constant(

@@ -5,6 +5,7 @@ warning on the way."""
 import math
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,7 +38,7 @@ def _evolve_constant(dt, t_end):
     qcrsim.evolve_constant(rho0, h, rates, dt=dt, t_end=t_end)
 
 
-def _propagate(sample_every):
+def _propagate(sample_every, dt=0.1):
     system = qcrsim.SystemSpec()
     h = np.diag(qcrsim.transmon_energies(system.transmon))
     rates = qcrsim.transition_rates(
@@ -45,7 +46,7 @@ def _propagate(sample_every):
     )
     generator = qcrsim.lindblad_generator(h, rates)
     rho0 = qcrsim.DensityMatrix.gibbs(0.05, system.transmon)
-    dynamics.propagate(rho0, h, generator[None], [0] * 5, 0.1, sample_every)
+    dynamics.propagate(rho0, h, generator[None], [0] * 5, dt, sample_every)
 
 
 def _two_states(n, m):
@@ -187,17 +188,51 @@ CASES = {
         lambda: _propagate(2.5),
         "sample_every must be an integer >= 1, got 2.5",
     ),
+    "evolve-sample_every-bool": (
+        lambda: _evolve(dt=0.1, sample_every=True),
+        "sample_every must be an integer >= 1, got True",
+    ),
+    "propagate-dt-negative": (
+        lambda: _propagate(1, dt=-1.0),
+        "dt must be positive and finite, got -1.0",
+    ),
+    "propagate-sample_every-bool": (
+        lambda: _propagate(True),
+        "sample_every must be an integer >= 1, got True",
+    ),
+    "normalize_leading-k-bool": (
+        lambda: qcrsim.normalize_leading([0.5, 0.3, 0.2], k=True),
+        "k must be an integer in [1, 3], got True",
+    ),
+    "DensityMatrix.level-n-bool": (
+        lambda: qcrsim.DensityMatrix.level(True, qcrsim.TransmonSpec()),
+        "level n must be an integer in [0, 5], got True",
+    ),
+    "named_rng-seed-float": (
+        lambda: qcrsim.named_rng(2.5, "x"),
+        "seed must be an integer >= 0, got 2.5",
+    ),
+    "synthesize_shots-seed-float": (
+        lambda: qcrsim.synthesize_shots([1, 0, 0, 0], qcrsim.default_model(), 10, 2.5),
+        "seed must be an integer >= 0, got 2.5",
+    ),
+    "sample_estimate-seed-bool": (
+        lambda: qcrsim.sample_estimate(
+            [1, 0, 0, 0], qcrsim.default_model(), 10, seed=True
+        ),
+        "seed must be an integer >= 0, got True",
+    ),
     "correct_counts-n_shots-bool": (
         lambda: qcrsim.correct_counts([1, 0, 0, 0], True, qcrsim.default_model()),
-        "n_shots must be an integer, got True",
+        "n_shots must be an integer >= 1, got True",
     ),
     "correct_counts-n_shots-float": (
         lambda: qcrsim.correct_counts([1, 0, 0, 0], 2.5, qcrsim.default_model()),
-        "n_shots must be an integer, got 2.5",
+        "n_shots must be an integer >= 1, got 2.5",
     ),
     "sample_estimate-n_shots-bool": (
         lambda: qcrsim.sample_estimate([1, 0, 0, 0], qcrsim.default_model(), True),
-        "n_shots must be an integer, got True",
+        "n_shots must be an integer >= 1, got True",
     ),
     "mahalanobis_sq-points-nan": (
         lambda: qcrsim.mahalanobis_sq([[0.0, NAN]], [0.0, 0.0], np.eye(2)),
@@ -241,3 +276,24 @@ def test_bad_argument_fails_by_name(monkeypatch, call, message):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=re.escape(message)):
             call()
+
+
+RULES = (
+    "must be positive and finite",
+    "must be non-negative and finite",
+    "must be an integer",
+)
+
+
+def test_rules_are_written_only_in_checks():
+    """The wording of the shared rules lives in ``_checks`` alone, so no
+    module spells one out by hand."""
+    package = Path(qcrsim.__file__).parent
+    spelled = [
+        f"{path.name}: {rule}"
+        for path in sorted(package.glob("*.py"))
+        if path.name != "_checks.py"
+        for rule in RULES
+        if rule in path.read_text(encoding="utf-8")
+    ]
+    assert not spelled

@@ -920,9 +920,9 @@ class TestSampleEstimate:
             (np.ones((0, 4)), 10, "must have shape (4,) or (m, 4), got (0, 4)"),
             ([[1, 0, 0, 0], [0, 0, 0, 0]], 10, "must have a finite positive sum"),
             ([[1, 0, 0, 0], [0, np.nan, 0, 0]], 10, "must be finite and non-negative"),
-            (np.ones(4), 2.5, "n_shots must be an integer, got 2.5"),
-            (np.ones(4), True, "n_shots must be an integer, got True"),
-            (np.ones(4), 0, "n_shots must be positive, got 0"),
+            (np.ones(4), 2.5, "n_shots must be an integer >= 1, got 2.5"),
+            (np.ones(4), True, "n_shots must be an integer >= 1, got True"),
+            (np.ones(4), 0, "n_shots must be an integer >= 1, got 0"),
         ],
         ids=["wrong-k", "no-rows", "zero-row", "nan-row", "float-shots", "bool-shots",
              "zero-shots"],
